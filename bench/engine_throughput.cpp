@@ -48,24 +48,12 @@
 //                            0 skips)
 //   REGEL_SMT_CACHE          0 skips the smt_cache_on_vs_off section
 //                            (default 1)
-//   REGEL_DFA_TIER           0 skips the dfa_tier_on_vs_off section
-//                            (default 1)
 //
 // The smt_cache_on_vs_off section repeats the corpus cold+warm with the
 // SMT verdict store detached (EngineConfig::SmtMemo=false) and compares
 // against the main passes (store attached): warm-pass solver searches
 // actually executed, and the warm check hit rate, with the cache on vs
 // off — what cross-run verdict memoization buys a persistent server.
-//
-// The dfa_tier_on_vs_off section measures the shared DFA tier
-// (src/dfad/) on the spilled-job scenario: shard A serves the corpus,
-// then the same workload lands on shard B with cold caches of its own.
-// Tier off, B recompiles A's whole working set (today's duplication);
-// tier on, both shards share one DfaTierStore and B is served parsed
-// blobs. Engine-local stores in the tier fleet are capped at a quarter
-// of the measured single-shard working set — the tier owns the full set
-// once — so the section also reports aggregate DFA store occupancy at
-// N=2 shards against the 2x-single-shard duplication baseline.
 //
 // A final overload section (`shedding_overload` in the JSON) runs the
 // same SLA-overload twice — deadline-aware shedding off ("lazy", the
@@ -78,7 +66,6 @@
 #include "common/BenchUtil.h"
 
 #include "data/DeepRegexSet.h"
-#include "dfad/Tier.h"
 #include "engine/Engine.h"
 #include "obs/Metrics.h"
 #include "regex/Parser.h"
@@ -451,13 +438,11 @@ struct PassReport {
 PassReport runPass(unsigned Threads,
                    const std::shared_ptr<engine::SharedCaches> &Caches,
                    const std::vector<data::Benchmark> &Corpus,
-                   int64_t BudgetMs, bool SmtMemo = true,
-                   std::shared_ptr<dfad::DfaTierClient> Tier = nullptr) {
+                   int64_t BudgetMs, bool SmtMemo = true) {
   engine::EngineConfig EC;
   EC.Threads = Threads;
   EC.Caches = Caches;
   EC.SmtMemo = SmtMemo;
-  EC.TierClient = std::move(Tier);
   engine::Engine Eng(EC);
 
   std::vector<engine::JobRequest> Requests;
@@ -749,103 +734,6 @@ int main() {
     appendPassJson(Json, OffCold);
     Json += ",\n";
     appendPassJson(Json, OffWarm);
-    Json += "\n    ]\n  }";
-  }
-
-  // Shared DFA tier (src/dfad/): the spilled-job scenario. Shard A serves
-  // the corpus's affinity traffic, then the identical workload lands on
-  // shard B with cold caches of its own. Tier off is today's duplication
-  // (B recompiles A's working set); tier on shares one DfaTierStore, so
-  // B's compiles become tier fetches. The tier fleet caps each engine's
-  // local store at a quarter of the measured single-shard working set —
-  // single-copy ownership lives in the tier — which is what keeps the
-  // 2-shard aggregate occupancy under the 2x duplication baseline.
-  const bool RunDfaTier = envInt("REGEL_DFA_TIER", 1) != 0;
-  if (RunDfaTier) {
-    std::printf("dfa tier: spilled corpus onto a second shard, tier off "
-                "vs on...\n");
-    auto OffACaches = std::make_shared<engine::SharedCaches>(16);
-    PassReport OffA = runPass(Threads, OffACaches, Corpus, BudgetMs);
-    auto OffBCaches = std::make_shared<engine::SharedCaches>(16);
-    PassReport OffB = runPass(Threads, OffBCaches, Corpus, BudgetMs);
-
-    const uint64_t SingleShardEntries = OffA.Stats.DfaStoreSize;
-    engine::CacheLimits TierLocal;
-    TierLocal.MaxEntries =
-        std::max<uint64_t>(1, SingleShardEntries / 4);
-    auto Tier = std::make_shared<dfad::DfaTierStore>(16);
-    auto OnACaches =
-        std::make_shared<engine::SharedCaches>(16, TierLocal);
-    PassReport OnA = runPass(Threads, OnACaches, Corpus, BudgetMs,
-                             /*SmtMemo=*/true,
-                             std::make_shared<dfad::LocalDfaTier>(Tier));
-    auto OnBCaches =
-        std::make_shared<engine::SharedCaches>(16, TierLocal);
-    PassReport OnB = runPass(Threads, OnBCaches, Corpus, BudgetMs,
-                             /*SmtMemo=*/true,
-                             std::make_shared<dfad::LocalDfaTier>(Tier));
-
-    const uint64_t AggOn = OnA.Stats.DfaStoreSize + OnB.Stats.DfaStoreSize +
-                           Tier->size();
-    const uint64_t AggOff = OffA.Stats.DfaStoreSize + OffB.Stats.DfaStoreSize;
-    const double OccupancyVsSingle =
-        SingleShardEntries
-            ? static_cast<double>(AggOn) /
-                  static_cast<double>(SingleShardEntries)
-            : 0.0;
-    const bool Below2x = AggOn < 2 * SingleShardEntries;
-    const double TierHitShare =
-        OnB.Stats.DfaGets
-            ? static_cast<double>(OnB.Stats.DfaTierHits) /
-                  static_cast<double>(OnB.Stats.DfaGets)
-            : 0.0;
-    std::printf("  spilled shard: %llu compiles with tier vs %llu cold "
-                "(resolution %.4f vs %.4f; %.3f of gets tier-served)\n",
-                (unsigned long long)OnB.Stats.DfaCompiles,
-                (unsigned long long)OffB.Stats.DfaCompiles,
-                OnB.DfaResolutionRate, OffB.DfaResolutionRate, TierHitShare);
-    std::printf("  occupancy: %llu + %llu local + %zu tier = %llu entries "
-                "at 2 shards vs %llu duplicated (%.2fx single shard)\n",
-                (unsigned long long)OnA.Stats.DfaStoreSize,
-                (unsigned long long)OnB.Stats.DfaStoreSize, Tier->size(),
-                (unsigned long long)AggOn, (unsigned long long)AggOff,
-                OccupancyVsSingle);
-    if (OnB.Stats.DfaCompiles >= OffB.Stats.DfaCompiles)
-      std::printf("WARNING: tier did not reduce spilled-shard compiles\n");
-    if (!Below2x)
-      std::printf("WARNING: tier fleet occupancy not below 2x single "
-                  "shard\n");
-
-    char TierBuf[1024];
-    std::snprintf(
-        TierBuf, sizeof(TierBuf),
-        ",\n  \"dfa_tier_on_vs_off\": {\n"
-        "    \"spilled_warm_dfa_resolution_rate_tier_on\": %.4f,\n"
-        "    \"spilled_warm_dfa_resolution_rate_tier_off\": %.4f,\n"
-        "    \"spilled_dfa_compiles_tier_on\": %llu,\n"
-        "    \"spilled_dfa_compiles_tier_off\": %llu,\n"
-        "    \"spilled_tier_hit_share\": %.4f,\n"
-        "    \"tier_entries\": %zu,\n"
-        "    \"tier_blob_bytes\": %llu,\n"
-        "    \"local_cap_entries\": %llu,\n"
-        "    \"single_shard_store_entries\": %llu,\n"
-        "    \"aggregate_store_entries_tier_on\": %llu,\n"
-        "    \"aggregate_store_entries_tier_off\": %llu,\n"
-        "    \"occupancy_vs_single_shard\": %.3f,\n"
-        "    \"occupancy_below_2x_single_shard\": %s,\n"
-        "    \"passes_on\": [\n",
-        OnB.DfaResolutionRate, OffB.DfaResolutionRate,
-        (unsigned long long)OnB.Stats.DfaCompiles,
-        (unsigned long long)OffB.Stats.DfaCompiles, TierHitShare,
-        Tier->size(), (unsigned long long)Tier->blobBytes(),
-        (unsigned long long)TierLocal.MaxEntries,
-        (unsigned long long)SingleShardEntries, (unsigned long long)AggOn,
-        (unsigned long long)AggOff, OccupancyVsSingle,
-        Below2x ? "true" : "false");
-    Json += TierBuf;
-    appendPassJson(Json, OnA);
-    Json += ",\n";
-    appendPassJson(Json, OnB);
     Json += "\n    ]\n  }";
   }
 

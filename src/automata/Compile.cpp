@@ -199,7 +199,7 @@ const Dfa &DfaCache::get(const RegexPtr &R) {
   }
   ++Misses;
   if (Shared) {
-    if (std::shared_ptr<const Dfa> D = Shared->lookup(R, Probe)) {
+    if (std::shared_ptr<const Dfa> D = Shared->lookup(R)) {
       ++SharedHits;
       auto [Ins, _] = Cache.emplace(R, std::move(D));
       return *Ins->second;

@@ -39,15 +39,6 @@ public:
   /// Returns the stored DFA for \p R, or nullptr.
   virtual std::shared_ptr<const Dfa> lookup(const RegexPtr &R) = 0;
 
-  /// Probe-carrying lookup: stores that do observable work on a miss
-  /// (the tiered store's remote fetch) time it into \p P. The default
-  /// ignores the probe, so plain stores implement only the 1-arg form.
-  virtual std::shared_ptr<const Dfa> lookup(const RegexPtr &R,
-                                            const obs::SynthProbe *P) {
-    (void)P;
-    return lookup(R);
-  }
-
   /// Offers a freshly compiled DFA to the store (keep-or-drop is up to the
   /// implementation).
   virtual void publish(const RegexPtr &R, std::shared_ptr<const Dfa> D) = 0;

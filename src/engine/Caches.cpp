@@ -2,344 +2,29 @@
 
 #include "engine/Caches.h"
 
-#include "automata/Serialize.h"
-#include "dfad/Tier.h"
-#include "obs/Metrics.h"
-#include "obs/Probe.h"
-#include "obs/Trace.h"
-#include "regex/Printer.h"
-
-#include <algorithm>
-
 using namespace regel;
 using namespace regel::engine;
 
-namespace {
-
-/// Splits a global cap over \p NumShards: floored (so the global figure is
-/// an upper bound), but never below one entry per shard.
-template <typename T> T perShard(T GlobalCap, size_t NumShards) {
-  if (GlobalCap == 0)
-    return 0;
-  return std::max<T>(1, GlobalCap / static_cast<T>(NumShards));
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// ShardedDfaStore
-//===----------------------------------------------------------------------===//
-
-ShardedDfaStore::ShardedDfaStore(unsigned NumShards, CacheLimits L)
-    : Limits(L) {
-  NumShards = std::max(1u, NumShards);
-  Shards.reserve(NumShards);
-  for (unsigned I = 0; I < NumShards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-  MaxEntriesPerShard = perShard(Limits.MaxEntries, Shards.size());
-  MaxCostPerShard = perShard(Limits.MaxCost, Shards.size());
-}
-
-ShardedDfaStore::Shard &ShardedDfaStore::shardFor(const RegexPtr &R) {
-  return *Shards[mix64(R->hash()) % Shards.size()];
-}
-
-void ShardedDfaStore::evictOverLocked(Shard &S) {
-  // Evict cold entries until both caps hold; a single
-  // DFA whose cost alone exceeds the shard's cost cap is evicted too (it
-  // would otherwise pin the shard over budget forever). Second chance: a
-  // hit-since-last-sweep entry reaching the cold end is recycled once
-  // (reference bit cleared) rather than evicted, so one-touch scan
-  // traffic cannot flush the re-referenced core. Recycles are bounded by
-  // the list length at entry, which guarantees termination.
-  size_t Chances = S.Lru.size();
-  while (!S.Lru.empty() &&
-         ((MaxEntriesPerShard && S.Map.size() > MaxEntriesPerShard) ||
-          (MaxCostPerShard && S.Cost > MaxCostPerShard))) {
-    Entry &Victim = S.Lru.back();
-    if (Victim.Hot && Chances > 0) {
-      --Chances;
-      Victim.Hot = false;
-      S.Lru.splice(S.Lru.begin(), S.Lru, std::prev(S.Lru.end()));
-      continue;
-    }
-    S.Cost -= Victim.Cost;
-    S.Map.erase(Victim.R);
-    S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 std::shared_ptr<const Dfa> ShardedDfaStore::lookup(const RegexPtr &R) {
-  Shard &S = shardFor(R);
-  MutexLock Guard(S.M);
-  auto It = S.Map.find(R);
-  if (It == S.Map.end()) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  Hits.fetch_add(1, std::memory_order_relaxed);
-  It->second->Hot = true;
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // LRU touch
-  return It->second->D;
+  std::shared_ptr<const Dfa> D;
+  Lru.lookup(R, D);
+  return D;
 }
 
 void ShardedDfaStore::publish(const RegexPtr &R,
                               std::shared_ptr<const Dfa> D) {
-  Shard &S = shardFor(R);
-  MutexLock Guard(S.M);
-  auto It = S.Map.find(R);
-  if (It != S.Map.end()) {
-    // First publisher wins; a duplicate publish means a second run needed
-    // this entry, so it counts as a reference like a lookup hit does.
-    It->second->Hot = true;
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    return;
-  }
-  uint64_t Cost = dfaCost(*D);
-  S.Lru.push_front(Entry{R, std::move(D), Cost});
-  S.Cost += Cost;
-  S.Map.emplace(R, S.Lru.begin());
-  evictOverLocked(S);
-}
-
-size_t ShardedDfaStore::size() const {
-  size_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    Total += S->Map.size();
-  }
-  return Total;
-}
-
-uint64_t ShardedDfaStore::costUnits() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    Total += S->Cost;
-  }
-  return Total;
-}
-
-void ShardedDfaStore::clear() {
-  for (std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    S->Map.clear();
-    S->Lru.clear();
-    S->Cost = 0;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// TieredDfaStore
-//===----------------------------------------------------------------------===//
-
-TieredDfaStore::TieredDfaStore(ShardedDfaStore &L)
-    : TieredDfaStore(L, Config()) {}
-
-TieredDfaStore::TieredDfaStore(ShardedDfaStore &L, Config C)
-    : Local(L), Cfg(std::move(C)) {
-  if (!Cfg.Clk)
-    Cfg.Clk = Clock::steady();
-}
-
-std::shared_ptr<const Dfa> TieredDfaStore::lookup(const RegexPtr &R) {
-  return lookup(R, nullptr);
-}
-
-std::shared_ptr<const Dfa>
-TieredDfaStore::lookup(const RegexPtr &R, const obs::SynthProbe *P) {
-  if (std::shared_ptr<const Dfa> D = Local.lookup(R))
-    return D;
-  // Local miss: join the in-flight resolution of this regex, or open one
-  // and become its leader.
-  FlightPtr F;
-  bool Leader = false;
-  {
-    MutexLock Guard(FlightM);
-    auto It = Flights.find(R);
-    if (It != Flights.end()) {
-      F = It->second;
-    } else {
-      F = std::make_shared<Flight>();
-      Flights.emplace(R, F);
-      Leader = true;
-    }
-  }
-  if (!Leader)
-    return waitOnFlight(R, F);
-  if (!Cfg.Tier)
-    return nullptr; // leader compiles; publish() fulfils the flight
-  std::shared_ptr<const Dfa> D = tierFetch(R, P);
-  if (!D)
-    return nullptr; // tier miss: leader compiles, publish() fulfils
-  // Tier hit: install locally (so the whole shard is warm) and serve the
-  // waiters. Deliberately Local.publish, not this->publish — a fetched
-  // DFA must not echo back into the tier as a write-through.
-  Local.publish(R, D);
-  fulfillFlight(R, D);
-  return D;
-}
-
-std::shared_ptr<const Dfa>
-TieredDfaStore::waitOnFlight(const RegexPtr &R, const FlightPtr &F) {
-  UniqueLock Lock(FlightM);
-  const bool Served =
-      Cfg.Clk->waitFor(F->CV, Lock.native(), Cfg.FlightWaitMs,
-                       [this, &F] { return flightDoneLocked(F); });
-  if (Served) {
-    FlightServed.fetch_add(1, std::memory_order_relaxed);
-    return F->D;
-  }
-  // Timed out (leader died or is pathologically slow): retire the stale
-  // entry if it is still the one waited on, so the next miss opens a
-  // fresh flight, and fall back to compiling. A duplicate compile is
-  // safe — compilation is deterministic and publish is idempotent.
-  auto It = Flights.find(R);
-  if (It != Flights.end() && It->second == F)
-    Flights.erase(It);
-  FlightTimeouts.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-std::shared_ptr<const Dfa>
-TieredDfaStore::tierFetch(const RegexPtr &R, const obs::SynthProbe *P) {
-  // Runs with NO lock held: the RPC (or in-process shard walk), the
-  // canonical print and the blob parse are all outside FlightM.
-  const Clock *C = P && P->Clk ? P->Clk : Cfg.Clk.get();
-  const bool Timed = P && (P->DfaTierFetchUs || P->Trace);
-  const int64_t StartUs = Timed ? C->nowUs() : 0;
-  std::string Blob;
-  std::shared_ptr<const Dfa> D;
-  if (Cfg.Tier->get(printRegex(R), Blob))
-    D = parseDfa(Blob); // nullptr on a corrupt blob = miss
-  if (Timed) {
-    const int64_t DurUs = C->nowUs() - StartUs;
-    if (P->DfaTierFetchUs)
-      P->DfaTierFetchUs->record(static_cast<uint64_t>(DurUs));
-    if (P->Trace)
-      P->Trace->span("dfa_tier_fetch", "dfa", StartUs, DurUs, P->Tid);
-  }
-  if (D)
-    TierHits.fetch_add(1, std::memory_order_relaxed);
-  else
-    TierMisses.fetch_add(1, std::memory_order_relaxed);
-  return D;
-}
-
-void TieredDfaStore::publish(const RegexPtr &R,
-                             std::shared_ptr<const Dfa> D) {
-  Local.publish(R, D);
-  if (Cfg.Tier) {
-    // Write-through, best-effort, no lock held. Oversized automata stay
-    // shard-local: the tier exists for the small cross-job hot core.
-    std::string Blob = serializeDfa(*D);
-    if (Blob.size() <= MaxDfaBlobBytes) {
-      Cfg.Tier->put(printRegex(R), Blob);
-      TierPuts.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      TierPutSkipped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  fulfillFlight(R, D);
-}
-
-void TieredDfaStore::fulfillFlight(const RegexPtr &R,
-                                   const std::shared_ptr<const Dfa> &D) {
-  FlightPtr F;
-  {
-    MutexLock Guard(FlightM);
-    auto It = Flights.find(R);
-    if (It == Flights.end())
-      return; // no waiters ever joined, or a timeout already retired it
-    F = It->second;
-    F->D = D;
-    F->Done = true;
-    Flights.erase(It);
-  }
-  F->CV.notify_all();
-}
-
-//===----------------------------------------------------------------------===//
-// ShardedApproxStore
-//===----------------------------------------------------------------------===//
-
-ShardedApproxStore::ShardedApproxStore(unsigned NumShards, CacheLimits L)
-    : Limits(L) {
-  NumShards = std::max(1u, NumShards);
-  Shards.reserve(NumShards);
-  for (unsigned I = 0; I < NumShards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-  // Approximations are small and uniform, so MaxCost degenerates to a
-  // second entry cap: the effective cap is the tighter of the two.
-  size_t Cap = Limits.MaxEntries;
-  if (Limits.MaxCost &&
-      (Cap == 0 || static_cast<size_t>(Limits.MaxCost) < Cap))
-    Cap = static_cast<size_t>(Limits.MaxCost);
-  MaxEntriesPerShard = perShard(Cap, Shards.size());
-}
-
-ShardedApproxStore::Shard &
-ShardedApproxStore::shardFor(const SketchPtr &S, unsigned Depth,
-                             bool WithClasses) {
-  return *Shards[hashKey(S, Depth, WithClasses) % Shards.size()];
-}
-
-void ShardedApproxStore::evictOverLocked(Shard &S) {
-  // Same second-chance sweep as the DFA store.
-  size_t Chances = S.Lru.size();
-  while (MaxEntriesPerShard && S.Map.size() > MaxEntriesPerShard &&
-         !S.Lru.empty()) {
-    Entry &Victim = S.Lru.back();
-    if (Victim.Hot && Chances > 0) {
-      --Chances;
-      Victim.Hot = false;
-      S.Lru.splice(S.Lru.begin(), S.Lru, std::prev(S.Lru.end()));
-      continue;
-    }
-    S.Map.erase(Victim.K);
-    S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
-  }
+  Lru.publish(R, std::move(D));
 }
 
 bool ShardedApproxStore::lookup(const SketchPtr &S, unsigned Depth,
                                 bool WithClasses, Approx &Out) {
-  Shard &Sh = shardFor(S, Depth, WithClasses);
-  MutexLock Guard(Sh.M);
-  auto It = Sh.Map.find({S, Depth, WithClasses});
-  if (It == Sh.Map.end()) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  Hits.fetch_add(1, std::memory_order_relaxed);
-  It->second->Hot = true;
-  Sh.Lru.splice(Sh.Lru.begin(), Sh.Lru, It->second); // LRU touch
-  Out = It->second->A;
-  return true;
+  return Lru.lookup({S, Depth, WithClasses}, Out);
 }
 
 void ShardedApproxStore::publish(const SketchPtr &S, unsigned Depth,
                                  bool WithClasses, const Approx &A) {
-  Shard &Sh = shardFor(S, Depth, WithClasses);
-  MutexLock Guard(Sh.M);
-  Key K{S, Depth, WithClasses};
-  auto It = Sh.Map.find(K);
-  if (It != Sh.Map.end()) {
-    // Duplicate publish = a second run needed this entry: count it as a
-    // reference, like a lookup hit.
-    It->second->Hot = true;
-    Sh.Lru.splice(Sh.Lru.begin(), Sh.Lru, It->second);
-    return;
-  }
-  Sh.Lru.push_front(Entry{K, A});
-  Sh.Map.emplace(std::move(K), Sh.Lru.begin());
-  evictOverLocked(Sh);
+  Lru.publish({S, Depth, WithClasses}, A);
 }
-
-//===----------------------------------------------------------------------===//
-// ShardedSmtCache
-//===----------------------------------------------------------------------===//
 
 size_t ShardedSmtCache::hashKey(const smt::FormulaPtr &F,
                                 const std::vector<smt::Interval> &Domains) {
@@ -350,84 +35,10 @@ size_t ShardedSmtCache::hashKey(const smt::FormulaPtr &F,
   return static_cast<size_t>(H);
 }
 
-ShardedSmtCache::ShardedSmtCache(unsigned NumShards, CacheLimits L)
-    : Limits(L) {
-  NumShards = std::max(1u, NumShards);
-  Shards.reserve(NumShards);
-  for (unsigned I = 0; I < NumShards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-  // A verdict is a status plus a handful of int64s — small and uniform —
-  // so MaxCost degenerates to a second entry cap, like the approx store.
-  size_t Cap = Limits.MaxEntries;
-  if (Limits.MaxCost &&
-      (Cap == 0 || static_cast<size_t>(Limits.MaxCost) < Cap))
-    Cap = static_cast<size_t>(Limits.MaxCost);
-  MaxEntriesPerShard = perShard(Cap, Shards.size());
-}
-
-ShardedSmtCache::Shard &
-ShardedSmtCache::shardFor(const smt::FormulaPtr &F,
-                          const std::vector<smt::Interval> &Domains) {
-  return *Shards[hashKey(F, Domains) % Shards.size()];
-}
-
-void ShardedSmtCache::evictOverLocked(Shard &S) {
-  // Same second-chance sweep as the other stores. The implication ring
-  // is deliberately NOT synchronized with the LRU: its entries stay
-  // valid forever (Unsat is a property of the formula, not a cached
-  // computation), so eviction here never has to touch it.
-  size_t Chances = S.Lru.size();
-  while (MaxEntriesPerShard && S.Map.size() > MaxEntriesPerShard &&
-         !S.Lru.empty()) {
-    Entry &Victim = S.Lru.back();
-    if (Victim.Hot && Chances > 0) {
-      --Chances;
-      Victim.Hot = false;
-      S.Lru.splice(S.Lru.begin(), S.Lru, std::prev(S.Lru.end()));
-      continue;
-    }
-    S.Map.erase(Victim.K);
-    S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 bool ShardedSmtCache::lookup(const smt::FormulaPtr &F,
                              const std::vector<smt::Interval> &Domains,
                              smt::SolveResult &Out) {
-  Shard &Sh = shardFor(F, Domains);
-  // Candidate Unsat cores with matching domains are snapshotted under
-  // the ring lock; the subset tests (which walk formula structure) run
-  // after both locks are released so no smt operation executes inside a
-  // cache critical section. Keys are shared_ptrs to immutable formulas,
-  // so the snapshot stays valid after unlock.
-  std::vector<smt::FormulaPtr> Cores;
-  {
-    MutexLock Guard(Sh.M);
-    auto It = Sh.Map.find(Key{F, Domains});
-    if (It != Sh.Map.end()) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      It->second->Hot = true;
-      Sh.Lru.splice(Sh.Lru.begin(), Sh.Lru, It->second); // LRU touch
-      Out = It->second->R;
-      return true;
-    }
-  }
-  {
-    MutexLock Guard(RingM);
-    for (const Key &U : UnsatRing)
-      if (U.F != F && U.D == Domains)
-        Cores.push_back(U.F);
-  }
-  for (const smt::FormulaPtr &Core : Cores) {
-    if (smt::conjSubset(Core, F)) {
-      ImpliedHits.fetch_add(1, std::memory_order_relaxed);
-      Out = {smt::SolveStatus::Unsat, {}};
-      return true;
-    }
-  }
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  return Lru.lookup({F, Domains}, Out);
 }
 
 void ShardedSmtCache::publish(const smt::FormulaPtr &F,
@@ -436,73 +47,5 @@ void ShardedSmtCache::publish(const smt::FormulaPtr &F,
   // A budget-truncated search is about the budget, not the formula.
   if (R.Status == smt::SolveStatus::ResourceOut)
     return;
-  // Classified before the critical section so no smt:: name appears
-  // inside it (house lock-discipline: cache mutexes are leaf-level).
-  const bool IsUnsat = R.Status == smt::SolveStatus::Unsat;
-  Shard &Sh = shardFor(F, Domains);
-  Key K{F, Domains};
-  {
-    MutexLock Guard(Sh.M);
-    auto It = Sh.Map.find(K);
-    if (It != Sh.Map.end()) {
-      // Duplicate publish = a second run needed this entry: count it as
-      // a reference, like a lookup hit.
-      It->second->Hot = true;
-      Sh.Lru.splice(Sh.Lru.begin(), Sh.Lru, It->second);
-      return;
-    }
-    Sh.Lru.push_front(Entry{K, R});
-    Sh.Map.emplace(K, Sh.Lru.begin());
-    evictOverLocked(Sh);
-  }
-  if (IsUnsat) {
-    // Ring insert under its own lock, after the shard lock is released
-    // (the two are never nested). A racing duplicate publish that took
-    // the early return above never reaches here, so one core enters the
-    // ring at most once per residency.
-    MutexLock Guard(RingM);
-    if (UnsatRing.size() < UnsatRingCap) {
-      UnsatRing.push_back(std::move(K));
-    } else {
-      UnsatRing[UnsatNext] = std::move(K);
-      UnsatNext = (UnsatNext + 1) % UnsatRingCap;
-    }
-  }
-}
-
-size_t ShardedSmtCache::size() const {
-  size_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    Total += S->Map.size();
-  }
-  return Total;
-}
-
-void ShardedSmtCache::clear() {
-  for (std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    S->Map.clear();
-    S->Lru.clear();
-  }
-  MutexLock Guard(RingM);
-  UnsatRing.clear();
-  UnsatNext = 0;
-}
-
-size_t ShardedApproxStore::size() const {
-  size_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    Total += S->Map.size();
-  }
-  return Total;
-}
-
-void ShardedApproxStore::clear() {
-  for (std::unique_ptr<Shard> &S : Shards) {
-    MutexLock Guard(S->M);
-    S->Map.clear();
-    S->Lru.clear();
-  }
+  Lru.publish({F, Domains}, R);
 }

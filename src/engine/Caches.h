@@ -1,12 +1,15 @@
 //===- engine/Caches.h - Sharded, bounded cross-run caches ------*- C++ -*-===//
 //
-// Part of the Regel reproduction. Thread-safe sharded implementations of
-// the two cache seams the synthesis layers expose:
+// Part of the Regel reproduction. Thread-safe implementations of the three
+// cache seams the synthesis layers expose, each a thin adapter over one
+// ShardedLru (engine/ShardedLru.h):
 //
 //   * regex -> DFA (automata/Compile's DfaStore): every synthesis run keeps
 //     its lock-free local DfaCache and falls through to the shared store on
 //     a miss, so DFA determinization/minimization is paid once per process
-//     per distinct regex instead of once per run.
+//     per distinct regex instead of once per run. Its cost cap weighs a
+//     DFA by its states + transitions, not its entry count, because
+//     compiled automata vary in size by orders of magnitude.
 //
 //   * (sketch, depth, widened) -> over/under approximation
 //     (synth/Approximate's SketchApproxStore): approximations are
@@ -16,36 +19,14 @@
 //   * (canonical formula, domains) -> Sat/Unsat verdict (smt/Solver's
 //     VerdictStore): constant-inference queries repeat heavily across
 //     jobs that share sketches and example lengths, and hash-consing
-//     makes the key O(1) to hash and compare. Each shard additionally
-//     keeps a small ring of known-Unsat keys so a query whose conjunct
-//     set merely CONTAINS a known-Unsat core is answered without any
-//     search (adding conjuncts only removes models). The ring scan's
-//     subset tests run on a snapshot taken under the shard lock and
-//     released before testing — no smt:: call ever executes under a
-//     cache mutex.
+//     makes the key O(1) to hash and compare.
 //
-// Sharding bounds lock contention: keys hash to one of N independently
-// locked maps, so workers rarely collide on a mutex.
-//
-// Both stores are bounded (CacheLimits): each shard keeps its entries on a
-// recency list and evicts from the cold end when a cap is exceeded, so a
+// All three are bounded (CacheLimits) with second-chance eviction, so a
 // serving process can stay up indefinitely without the memo growth that
-// otherwise accumulates one entry per distinct regex/sketch ever seen. The
-// DFA store's cap is additionally cost-aware — a DFA's weight is its
-// states + transitions, not its entry count — because compiled automata
-// vary in size by orders of magnitude.
-//
-// Eviction is second-chance (scan-resistant) LRU: an entry that has been
-// hit since it last reached the cold end is cycled back with its
-// reference bit cleared instead of evicted. Synthesis workloads are
-// mostly one-touch scans (each job publishes hundreds of job-specific
-// DFAs it will only ever look up itself), with a small cross-job core
-// that is re-referenced constantly; under pure LRU the scan flushes that
-// core, under second-chance it stays resident.
-//
-// Eviction is transparent to correctness: a re-looked-up evicted entry
-// just recompiles (compilation is deterministic), it only costs the
-// recompilation time.
+// otherwise accumulates one entry per distinct regex/sketch/query ever
+// seen. Eviction is transparent to correctness: every cached value is a
+// deterministic computation, so an evicted entry only costs its
+// recomputation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,62 +34,26 @@
 #define REGEL_ENGINE_CACHES_H
 
 #include "automata/Compile.h"
+#include "engine/ShardedLru.h"
 #include "smt/Solver.h"
-#include "support/Clock.h"
-#include "support/Mutex.h"
 #include "synth/Approximate.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <list>
-#include <memory>
-#include <unordered_map>
-#include <vector>
-
-namespace regel::dfad {
-class DfaTierClient;
-}
-
 namespace regel::engine {
-
-/// Size limits for one sharded store; zero means unlimited. Caps are
-/// enforced per shard (global cap / shard count, floored, at least 1), so
-/// the global figure is a firm upper bound whenever it is at least the
-/// shard count, and approximate below that.
-struct CacheLimits {
-  /// Maximum entries across all shards.
-  size_t MaxEntries = 0;
-
-  /// Maximum summed entry cost across all shards. The DFA store measures
-  /// cost in automaton size (states + transitions, see
-  /// ShardedDfaStore::dfaCost); the approximation store counts 1 per entry,
-  /// so for it this is a second entry cap.
-  uint64_t MaxCost = 0;
-};
-
-/// splitmix64 finalizer: a cheap full-avalanche mix so shard selection
-/// depends on every bit of a key hash, not just the low ones.
-inline uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 /// A sharded, thread-safe, LRU-bounded regex -> DFA store.
 class ShardedDfaStore : public DfaStore {
 public:
-  explicit ShardedDfaStore(unsigned NumShards = 16, CacheLimits Limits = {});
+  explicit ShardedDfaStore(unsigned NumShards = 16, CacheLimits Limits = {})
+      : Lru(NumShards, Limits) {}
 
-  using DfaStore::lookup; // keep the probe-carrying overload visible
   std::shared_ptr<const Dfa> lookup(const RegexPtr &R) override;
   void publish(const RegexPtr &R, std::shared_ptr<const Dfa> D) override;
 
-  size_t size() const;
-  void clear();
+  size_t size() const { return Lru.size(); }
+  void clear() { Lru.clear(); }
 
   /// Summed cost units (states + transitions) of every cached DFA.
-  uint64_t costUnits() const;
+  uint64_t costUnits() const { return Lru.costUnits(); }
 
   /// Cost of one DFA in store cost units: its states plus the transitions
   /// of its complete table.
@@ -116,154 +61,25 @@ public:
     return static_cast<uint64_t>(D.numStates()) * (1 + AlphabetSize);
   }
 
-  const CacheLimits &limits() const { return Limits; }
-
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
+  const CacheLimits &limits() const { return Lru.limits(); }
+  uint64_t hits() const { return Lru.hits(); }
+  uint64_t misses() const { return Lru.misses(); }
+  uint64_t evictions() const { return Lru.evictions(); }
 
 private:
-  struct Entry {
-    RegexPtr R;
-    std::shared_ptr<const Dfa> D;
-    uint64_t Cost;
-    bool Hot = false; ///< hit since it last reached the cold end
+  struct KeyHash {
+    size_t operator()(const RegexPtr &R) const {
+      return static_cast<size_t>(mix64(R->hash()));
+    }
   };
-  struct Shard {
-    mutable Mutex M;
-    std::list<Entry> Lru REGEL_GUARDED_BY(M); ///< front = most recently used
-    std::unordered_map<RegexPtr, std::list<Entry>::iterator, RegexPtrHash,
-                       RegexPtrEq>
-        Map REGEL_GUARDED_BY(M);
-    uint64_t Cost REGEL_GUARDED_BY(M) = 0; ///< summed entry cost
+  struct Cost {
+    uint64_t operator()(const std::shared_ptr<const Dfa> &D) const {
+      return dfaCost(*D);
+    }
   };
 
-  Shard &shardFor(const RegexPtr &R);
-  void evictOverLocked(Shard &S) REGEL_REQUIRES(S.M);
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  CacheLimits Limits;
-  size_t MaxEntriesPerShard = 0;
-  uint64_t MaxCostPerShard = 0;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Evictions{0};
-};
-
-/// Layers a shard-local ShardedDfaStore under an optional fleet-shared
-/// DFA tier (src/dfad/), and adds single-flight compile deduplication:
-///
-///   * lookup: local store first; on a local miss, exactly ONE caller
-///     per distinct regex (the flight leader) proceeds — to the tier
-///     when one is attached, else straight to returning nullptr so its
-///     DfaCache compiles. Concurrent missers wait (bounded by
-///     Config::FlightWaitMs) on the in-flight entry instead of each
-///     paying the same determinization — the ShardedDfaStore
-///     thundering-herd fix, useful even with no tier at all.
-///   * publish: write-through — the local store keeps the DFA, and when
-///     a tier is attached the serialized blob (when it fits
-///     MaxDfaBlobBytes) is offered best-effort, then the flight is
-///     fulfilled and every waiter served.
-///
-/// A flight-wait timeout or a tier failure degrades to a duplicate
-/// compile, never an error: compilation is deterministic and publish is
-/// idempotent, so correctness never depends on the tier or the flights.
-///
-/// Lock discipline: FlightM is leaf-level — the tier RPC, the regex
-/// print, serialization and compilation all run with NO lock held (the
-/// tools/analyze gate checks this); FlightM is only taken to join,
-/// open, or fulfil a flight entry.
-class TieredDfaStore : public DfaStore {
-public:
-  struct Config {
-    /// The shared tier; null = single-flight only (no remote layer).
-    std::shared_ptr<dfad::DfaTierClient> Tier;
-
-    /// Clock for bounded flight waits (and fetch timing when the probe
-    /// carries no clock). Defaults to Clock::steady().
-    std::shared_ptr<const Clock> Clk;
-
-    /// Longest a lookup waits on another caller's in-flight compile
-    /// before giving up and compiling itself.
-    int64_t FlightWaitMs = 1000;
-  };
-
-  /// Single-flight-only store (no tier, steady clock): the no-config
-  /// overload exists because a `Config C = {}` default argument trips
-  /// GCC's NSDMI-in-incomplete-class handling.
-  explicit TieredDfaStore(ShardedDfaStore &Local);
-  TieredDfaStore(ShardedDfaStore &Local, Config C);
-
-  std::shared_ptr<const Dfa> lookup(const RegexPtr &R) override;
-  std::shared_ptr<const Dfa> lookup(const RegexPtr &R,
-                                    const obs::SynthProbe *P) override;
-  void publish(const RegexPtr &R, std::shared_ptr<const Dfa> D) override;
-
-  ShardedDfaStore &local() { return Local; }
-  const std::shared_ptr<dfad::DfaTierClient> &tier() const {
-    return Cfg.Tier;
-  }
-
-  uint64_t tierHits() const {
-    return TierHits.load(std::memory_order_relaxed);
-  }
-  uint64_t tierMisses() const {
-    return TierMisses.load(std::memory_order_relaxed);
-  }
-  uint64_t tierPuts() const {
-    return TierPuts.load(std::memory_order_relaxed);
-  }
-  /// Write-throughs skipped because the blob exceeded MaxDfaBlobBytes.
-  uint64_t tierPutsSkipped() const {
-    return TierPutSkipped.load(std::memory_order_relaxed);
-  }
-  /// Lookups served by waiting on another caller's in-flight compile.
-  uint64_t flightServed() const {
-    return FlightServed.load(std::memory_order_relaxed);
-  }
-  /// Flight waits that timed out (the waiter compiled redundantly).
-  uint64_t flightTimeouts() const {
-    return FlightTimeouts.load(std::memory_order_relaxed);
-  }
-
-private:
-  /// One in-flight resolution of a single regex. D/Done are guarded by
-  /// the owning store's FlightM (annotation needs the member in scope).
-  struct Flight {
-    std::condition_variable CV;
-    std::shared_ptr<const Dfa> D;
-    bool Done = false;
-  };
-  using FlightPtr = std::shared_ptr<Flight>;
-
-  // CV-wait predicate: Clang analyzes the lambda body as an unlocked
-  // function.
-  bool flightDoneLocked(const FlightPtr &F) const
-      REGEL_NO_THREAD_SAFETY_ANALYSIS { // callers hold FlightM
-    return F->Done;
-  }
-
-  std::shared_ptr<const Dfa> waitOnFlight(const RegexPtr &R,
-                                          const FlightPtr &F);
-  std::shared_ptr<const Dfa> tierFetch(const RegexPtr &R,
-                                       const obs::SynthProbe *P);
-  void fulfillFlight(const RegexPtr &R, const std::shared_ptr<const Dfa> &D);
-
-  ShardedDfaStore &Local;
-  Config Cfg;
-
-  Mutex FlightM;
-  std::unordered_map<RegexPtr, FlightPtr, RegexPtrHash, RegexPtrEq>
-      Flights REGEL_GUARDED_BY(FlightM);
-
-  std::atomic<uint64_t> TierHits{0};
-  std::atomic<uint64_t> TierMisses{0};
-  std::atomic<uint64_t> TierPuts{0};
-  std::atomic<uint64_t> TierPutSkipped{0};
-  std::atomic<uint64_t> FlightServed{0};
-  std::atomic<uint64_t> FlightTimeouts{0};
+  ShardedLru<RegexPtr, std::shared_ptr<const Dfa>, KeyHash, RegexPtrEq, Cost>
+      Lru;
 };
 
 /// A sharded, thread-safe, LRU-bounded (sketch, depth, widened) ->
@@ -271,23 +87,20 @@ private:
 class ShardedApproxStore : public SketchApproxStore {
 public:
   explicit ShardedApproxStore(unsigned NumShards = 16,
-                              CacheLimits Limits = {});
+                              CacheLimits Limits = {})
+      : Lru(NumShards, Limits) {}
 
   bool lookup(const SketchPtr &S, unsigned Depth, bool WithClasses,
               Approx &Out) override;
   void publish(const SketchPtr &S, unsigned Depth, bool WithClasses,
                const Approx &A) override;
 
-  size_t size() const;
-  void clear();
-
-  const CacheLimits &limits() const { return Limits; }
-
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
+  size_t size() const { return Lru.size(); }
+  void clear() { Lru.clear(); }
+  const CacheLimits &limits() const { return Lru.limits(); }
+  uint64_t hits() const { return Lru.hits(); }
+  uint64_t misses() const { return Lru.misses(); }
+  uint64_t evictions() const { return Lru.evictions(); }
 
   /// The combined key hash (exposed so tests can check shard balance).
   /// Depth and the widened flag are folded through mix64 rather than
@@ -318,27 +131,8 @@ private:
              sketchEquals(A.S, B.S);
     }
   };
-  struct Entry {
-    Key K;
-    Approx A;
-    bool Hot = false; ///< hit since it last reached the cold end
-  };
-  struct Shard {
-    mutable Mutex M;
-    std::list<Entry> Lru REGEL_GUARDED_BY(M); ///< front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash, KeyEq>
-        Map REGEL_GUARDED_BY(M);
-  };
 
-  Shard &shardFor(const SketchPtr &S, unsigned Depth, bool WithClasses);
-  void evictOverLocked(Shard &S) REGEL_REQUIRES(S.M);
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  CacheLimits Limits;
-  size_t MaxEntriesPerShard = 0;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Evictions{0};
+  ShardedLru<Key, Approx, KeyHash, KeyEq> Lru;
 };
 
 /// A sharded, thread-safe, LRU-bounded (canonical formula, domains) ->
@@ -348,7 +142,8 @@ private:
 /// costs a re-solve, exactly like the DFA store's recompilation.
 class ShardedSmtCache : public smt::VerdictStore {
 public:
-  explicit ShardedSmtCache(unsigned NumShards = 16, CacheLimits Limits = {});
+  explicit ShardedSmtCache(unsigned NumShards = 16, CacheLimits Limits = {})
+      : Lru(NumShards, Limits) {}
 
   bool lookup(const smt::FormulaPtr &F,
               const std::vector<smt::Interval> &Domains,
@@ -357,23 +152,12 @@ public:
                const std::vector<smt::Interval> &Domains,
                const smt::SolveResult &R) override;
 
-  size_t size() const;
-  void clear();
-
-  const CacheLimits &limits() const { return Limits; }
-
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
-
-  /// Lookups answered Unsat by the implication ring rather than an exact
-  /// entry (counted separately from hits; a lookup is exactly one of
-  /// hit, implied hit, or miss).
-  uint64_t impliedHits() const {
-    return ImpliedHits.load(std::memory_order_relaxed);
-  }
+  size_t size() const { return Lru.size(); }
+  void clear() { Lru.clear(); }
+  const CacheLimits &limits() const { return Lru.limits(); }
+  uint64_t hits() const { return Lru.hits(); }
+  uint64_t misses() const { return Lru.misses(); }
+  uint64_t evictions() const { return Lru.evictions(); }
 
   /// The combined key hash (exposed so tests can check shard balance).
   /// Hash-consing makes the formula component O(1); the domain vector is
@@ -395,43 +179,8 @@ private:
       return A.F == B.F && A.D == B.D;
     }
   };
-  struct Entry {
-    Key K;
-    smt::SolveResult R;
-    bool Hot = false; ///< hit since it last reached the cold end
-  };
-  struct Shard {
-    mutable Mutex M;
-    std::list<Entry> Lru REGEL_GUARDED_BY(M); ///< front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash, KeyEq>
-        Map REGEL_GUARDED_BY(M);
-  };
 
-  static constexpr size_t UnsatRingCap = 32;
-
-  Shard &shardFor(const smt::FormulaPtr &F,
-                  const std::vector<smt::Interval> &Domains);
-  void evictOverLocked(Shard &S) REGEL_REQUIRES(S.M);
-
-  /// Bounded overwrite-oldest ring of keys published Unsat, global to
-  /// the cache: an exact lookup shards by its OWN (formula, domains)
-  /// hash, so a superset query lands in a different shard than the core
-  /// that refutes it — a per-shard ring would almost never be consulted
-  /// by the lookups it can answer. Its own leaf mutex, never held
-  /// together with a shard lock. Advisory: a ring entry outliving its
-  /// LRU twin stays sound (Unsat is a fact about the formula), and
-  /// overwriting one only loses a short-circuit.
-  Mutex RingM;
-  std::vector<Key> UnsatRing REGEL_GUARDED_BY(RingM);
-  size_t UnsatNext REGEL_GUARDED_BY(RingM) = 0;
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  CacheLimits Limits;
-  size_t MaxEntriesPerShard = 0;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> ImpliedHits{0};
-  std::atomic<uint64_t> Evictions{0};
+  ShardedLru<Key, smt::SolveResult, KeyHash, KeyEq> Lru;
 };
 
 /// The caches one engine (or several engines, when passed explicitly)

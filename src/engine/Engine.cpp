@@ -45,18 +45,7 @@ Engine::Engine(EngineConfig C)
     }
     TaskExecUs = &Reg->histogram("regel_task_exec_us");
     DfaCompileUs = &Reg->histogram("regel_dfa_compile_us");
-    DfaTierFetchUs = &Reg->histogram("regel_dfa_tier_fetch_us");
     SmtInferUs = &Reg->histogram("regel_smt_infer_us");
-  }
-  if (Cfg.DfaTier && (Cfg.TieredDfa || Cfg.TierClient)) {
-    if (Cfg.TieredDfa) {
-      TierStore = Cfg.TieredDfa;
-    } else {
-      TieredDfaStore::Config TC;
-      TC.Tier = Cfg.TierClient;
-      TC.Clk = Clk;
-      TierStore = std::make_shared<TieredDfaStore>(Caches->Dfa, TC);
-    }
   }
 }
 
@@ -388,11 +377,7 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
   } else {
     SynthConfig SC = Req.Synth;
     SC.TopK = Req.TopK;
-    // With a tier attached, runs resolve DFAs through the tiered store:
-    // run-local cache -> shard-local store -> tier fetch -> compile, with
-    // concurrent cold misses deduped to one compile (single-flight).
-    SC.SharedDfa =
-        TierStore ? static_cast<DfaStore *>(TierStore.get()) : &Caches->Dfa;
+    SC.SharedDfa = &Caches->Dfa;
     SC.SharedApprox = &Caches->Approx;
     SC.SharedSmt = Cfg.SmtMemo ? &Caches->Smt : nullptr;
     // Deterministic jobs must not stop mid-search because a sibling
@@ -436,7 +421,6 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
     if (Observe) {
       Probe.Clk = Clk.get();
       Probe.DfaCompileUs = DfaCompileUs;
-      Probe.DfaTierFetchUs = TierStore ? DfaTierFetchUs : nullptr;
       Probe.SmtInferUs = SmtInferUs;
       Probe.Trace = T;
       Probe.Tid = 1 + Rank;
@@ -580,14 +564,6 @@ StatsSnapshot Engine::snapshot() const {
   S.TasksRunBatch = Pool.tasksRun(Priority::Batch);
   S.TasksRunBackground = Pool.tasksRun(Priority::Background);
   S.CompletionsPending = completedPending();
-  if (TierStore) {
-    S.DfaTierHits = TierStore->tierHits();
-    S.DfaTierMisses = TierStore->tierMisses();
-    S.DfaTierPuts = TierStore->tierPuts();
-    S.DfaTierPutsSkipped = TierStore->tierPutsSkipped();
-    S.DfaFlightServed = TierStore->flightServed();
-    S.DfaFlightTimeouts = TierStore->flightTimeouts();
-  }
   S.DfaStoreHits = Caches->Dfa.hits();
   S.DfaStoreMisses = Caches->Dfa.misses();
   S.DfaStoreSize = Caches->Dfa.size();
@@ -598,7 +574,6 @@ StatsSnapshot Engine::snapshot() const {
   S.ApproxStoreSize = Caches->Approx.size();
   S.ApproxStoreEvictions = Caches->Approx.evictions();
   S.SmtStoreHits = Caches->Smt.hits();
-  S.SmtStoreImpliedHits = Caches->Smt.impliedHits();
   S.SmtStoreMisses = Caches->Smt.misses();
   S.SmtStoreSize = Caches->Smt.size();
   S.SmtStoreEvictions = Caches->Smt.evictions();
@@ -706,12 +681,6 @@ void Engine::mirrorSnapshot() const {
   R.counter("regel_dfa_local_hits_total").set(S.DfaLocalHits);
   R.counter("regel_dfa_shared_hits_total").set(S.DfaSharedHits);
   R.counter("regel_dfa_compiles_total").set(S.DfaCompiles);
-  R.counter("regel_dfa_tier_hits_total").set(S.DfaTierHits);
-  R.counter("regel_dfa_tier_misses_total").set(S.DfaTierMisses);
-  R.counter("regel_dfa_tier_puts_total").set(S.DfaTierPuts);
-  R.counter("regel_dfa_tier_puts_skipped_total").set(S.DfaTierPutsSkipped);
-  R.counter("regel_dfa_flight_served_total").set(S.DfaFlightServed);
-  R.counter("regel_dfa_flight_timeouts_total").set(S.DfaFlightTimeouts);
   R.counter("regel_synth_time_us_total")
       .set(static_cast<uint64_t>(S.SynthMsTotal * 1000.0));
   R.counter("regel_dfa_store_hits_total").set(S.DfaStoreHits);
@@ -722,7 +691,6 @@ void Engine::mirrorSnapshot() const {
   R.counter("regel_approx_store_evictions_total")
       .set(S.ApproxStoreEvictions);
   R.counter("regel_smt_cache_hits_total").set(S.SmtStoreHits);
-  R.counter("regel_smt_cache_implied_hits_total").set(S.SmtStoreImpliedHits);
   R.counter("regel_smt_cache_misses_total").set(S.SmtStoreMisses);
   R.counter("regel_smt_cache_evictions_total").set(S.SmtStoreEvictions);
   R.gauge("regel_queue_depth_jobs")

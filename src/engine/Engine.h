@@ -67,28 +67,6 @@ struct EngineConfig {
   CacheLimits ApproxCacheLimits;
   CacheLimits SmtCacheLimits;
 
-  /// Shared DFA tier kill-switch (on by default). When off the engine
-  /// never wraps its shared DFA store, even if TierClient/TieredDfa are
-  /// set — synthesis runs see the plain ShardedDfaStore exactly as
-  /// before. Kept as a knob so operators can rule the tier out when
-  /// chasing a wrong-answer or latency report, and so the bench can
-  /// measure what the tier buys.
-  bool DfaTier = true;
-
-  /// Client of a shared DFA tier (see dfad/Tier.h): in-process
-  /// (dfad::LocalDfaTier) or remote (dfad::RemoteDfaTier speaking the v2
-  /// `dfa` frames). When set (and DfaTier is on), the engine layers a
-  /// TieredDfaStore over its shared store: local misses fetch from the
-  /// tier before compiling, and fresh compilations publish write-through.
-  std::shared_ptr<dfad::DfaTierClient> TierClient;
-
-  /// Pre-built tiered store to use instead of constructing one from
-  /// TierClient. Lets several engines sharing one SharedCaches also share
-  /// one single-flight table (concurrent cold misses across engines then
-  /// dedup to one compile). Must wrap the same ShardedDfaStore as Caches
-  /// — the owner who built both guarantees that.
-  std::shared_ptr<TieredDfaStore> TieredDfa;
-
   /// Cross-run SMT verdict memoization (on by default): synthesis runs
   /// get SynthConfig::SharedSmt pointed at the shared ShardedSmtCache, so
   /// constant-inference satisfiability checks repeat across jobs are
@@ -217,14 +195,6 @@ public:
   const std::shared_ptr<obs::Tracer> &tracer() const { return Tracing; }
 
   SharedCaches &caches() { return *Caches; }
-
-  /// The tiered DFA store synthesis runs resolve through, or null when no
-  /// tier is attached (TierClient/TieredDfa unset or DfaTier off).
-  /// Exposed so tests can assert single-flight and tier-hit accounting.
-  const std::shared_ptr<TieredDfaStore> &tieredDfa() const {
-    return TierStore;
-  }
-
   const EngineConfig &config() const { return Cfg; }
   unsigned threadCount() const { return Pool.threadCount(); }
 
@@ -284,10 +254,6 @@ private:
   EngineConfig Cfg;
   std::shared_ptr<const Clock> Clk; ///< never null
   std::shared_ptr<SharedCaches> Caches;
-
-  /// Tiered wrapper over Caches->Dfa when a tier is attached (null
-  /// otherwise — runs then point straight at the plain shared store).
-  std::shared_ptr<TieredDfaStore> TierStore;
   std::shared_ptr<obs::Registry> Reg;    ///< never null
   std::shared_ptr<obs::Tracer> Tracing;  ///< never null
 
@@ -303,7 +269,6 @@ private:
   JobHists PerPri[NumPriorities];
   obs::Histogram *TaskExecUs = nullptr;
   obs::Histogram *DfaCompileUs = nullptr;
-  obs::Histogram *DfaTierFetchUs = nullptr;
   obs::Histogram *SmtInferUs = nullptr;
 
   EngineStats Stats;

@@ -7,7 +7,7 @@
 using namespace regel::engine;
 
 std::string StatsSnapshot::toJson() const {
-  char Buf[4608];
+  char Buf[4096];
   std::snprintf(
       Buf, sizeof(Buf),
       "{\"jobs\":{\"submitted\":%llu,\"completed\":%llu,\"solved\":%llu,"
@@ -25,14 +25,11 @@ std::string StatsSnapshot::toJson() const {
       "\"dfa_gets\":%llu,\"dfa_local_hits\":%llu,"
       "\"dfa_shared_hits\":%llu,"
       "\"dfa_compiles\":%llu,\"total_ms\":%.1f},"
-      "\"dfa_tier\":{\"hits\":%llu,\"misses\":%llu,\"puts\":%llu,"
-      "\"puts_skipped\":%llu,\"flight_served\":%llu,"
-      "\"flight_timeouts\":%llu},"
       "\"dfa_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
       "\"cost\":%llu,\"evictions\":%llu},"
       "\"approx_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
       "\"evictions\":%llu},"
-      "\"smt_store\":{\"hits\":%llu,\"implied_hits\":%llu,\"misses\":%llu,"
+      "\"smt_store\":{\"hits\":%llu,\"misses\":%llu,"
       "\"size\":%llu,\"evictions\":%llu},"
       "\"estimator\":{\"interactive_ms\":%.2f,\"batch_ms\":%.2f,"
       "\"background_ms\":%.2f,\"blended_ms\":%.2f,"
@@ -59,11 +56,6 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)DfaGets,
       (unsigned long long)DfaLocalHits, (unsigned long long)DfaSharedHits,
       (unsigned long long)DfaCompiles, SynthMsTotal,
-      (unsigned long long)DfaTierHits, (unsigned long long)DfaTierMisses,
-      (unsigned long long)DfaTierPuts,
-      (unsigned long long)DfaTierPutsSkipped,
-      (unsigned long long)DfaFlightServed,
-      (unsigned long long)DfaFlightTimeouts,
       (unsigned long long)DfaStoreHits, (unsigned long long)DfaStoreMisses,
       (unsigned long long)DfaStoreSize, (unsigned long long)DfaStoreCost,
       (unsigned long long)DfaStoreEvictions,
@@ -72,7 +64,6 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)ApproxStoreSize,
       (unsigned long long)ApproxStoreEvictions,
       (unsigned long long)SmtStoreHits,
-      (unsigned long long)SmtStoreImpliedHits,
       (unsigned long long)SmtStoreMisses,
       (unsigned long long)SmtStoreSize,
       (unsigned long long)SmtStoreEvictions,
@@ -115,12 +106,6 @@ void StatsSnapshot::merge(const StatsSnapshot &O) {
   DfaSharedHits += O.DfaSharedHits;
   DfaCompiles += O.DfaCompiles;
   SynthMsTotal += O.SynthMsTotal;
-  DfaTierHits += O.DfaTierHits;
-  DfaTierMisses += O.DfaTierMisses;
-  DfaTierPuts += O.DfaTierPuts;
-  DfaTierPutsSkipped += O.DfaTierPutsSkipped;
-  DfaFlightServed += O.DfaFlightServed;
-  DfaFlightTimeouts += O.DfaFlightTimeouts;
   DfaStoreHits += O.DfaStoreHits;
   DfaStoreMisses += O.DfaStoreMisses;
   DfaStoreSize += O.DfaStoreSize;
@@ -131,7 +116,6 @@ void StatsSnapshot::merge(const StatsSnapshot &O) {
   ApproxStoreSize += O.ApproxStoreSize;
   ApproxStoreEvictions += O.ApproxStoreEvictions;
   SmtStoreHits += O.SmtStoreHits;
-  SmtStoreImpliedHits += O.SmtStoreImpliedHits;
   SmtStoreMisses += O.SmtStoreMisses;
   SmtStoreSize += O.SmtStoreSize;
   SmtStoreEvictions += O.SmtStoreEvictions;

@@ -68,7 +68,7 @@ struct StatsSnapshot {
   // bounded DFS model searches actually executed, SmtCacheHits are
   // solve() calls answered by the shared verdict store. With one engine
   // owning its caches, SmtSolves == SmtStoreMisses and SmtCacheHits ==
-  // SmtStoreHits + SmtStoreImpliedHits — the partition is exact.
+  // SmtStoreHits — the partition is exact.
   uint64_t SmtIntervalEvals = 0;
   uint64_t SmtSolves = 0;
   uint64_t SmtCacheHits = 0;
@@ -83,19 +83,6 @@ struct StatsSnapshot {
   uint64_t DfaSharedHits = 0; ///< local misses served by the shared store
   uint64_t DfaCompiles = 0;   ///< compilations actually paid
   double SynthMsTotal = 0;
-
-  // Shared DFA tier (zero when EngineConfig::DfaTier is off or no tier
-  // client is attached — see engine::TieredDfaStore). Tier hits are a
-  // subset of DfaSharedHits: a fetch served by the tier surfaces to the
-  // run as a shared-store hit, so the DfaGets partition above stays
-  // exact. FlightServed counts lookups that waited on another thread's
-  // in-flight compile/fetch instead of duplicating it (single-flight).
-  uint64_t DfaTierHits = 0;
-  uint64_t DfaTierMisses = 0;
-  uint64_t DfaTierPuts = 0;        ///< blobs published write-through
-  uint64_t DfaTierPutsSkipped = 0; ///< DFAs too large to serialize
-  uint64_t DfaFlightServed = 0;
-  uint64_t DfaFlightTimeouts = 0;
 
   /// Share of DFA requests served without compiling (local cache, shared
   /// store, or eviction-then-recompile absorbed elsewhere) — the
@@ -116,18 +103,16 @@ struct StatsSnapshot {
   uint64_t ApproxStoreMisses = 0;
   uint64_t ApproxStoreSize = 0;
   uint64_t ApproxStoreEvictions = 0;
-  uint64_t SmtStoreHits = 0;        ///< exact (formula, domains) answers
-  uint64_t SmtStoreImpliedHits = 0; ///< Unsat answers by conjunct subset
+  uint64_t SmtStoreHits = 0; ///< exact (formula, domains) answers
   uint64_t SmtStoreMisses = 0;
   uint64_t SmtStoreSize = 0;
   uint64_t SmtStoreEvictions = 0;
 
-  /// Share of verdict-store lookups answered without a search (exact or
-  /// implied) — the warm-pass figure the SMT cache is judged by.
+  /// Share of verdict-store lookups answered without a search — the
+  /// warm-pass figure the SMT cache is judged by.
   double smtCacheHitRate() const {
-    const uint64_t Answered = SmtStoreHits + SmtStoreImpliedHits;
-    const uint64_t Lookups = Answered + SmtStoreMisses;
-    return Lookups ? static_cast<double>(Answered) /
+    const uint64_t Lookups = SmtStoreHits + SmtStoreMisses;
+    return Lookups ? static_cast<double>(SmtStoreHits) /
                          static_cast<double>(Lookups)
                    : 0.0;
   }

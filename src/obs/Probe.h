@@ -37,11 +37,6 @@ struct SynthProbe {
   /// Per-DFA-compilation latency (cache misses that actually compiled).
   Histogram *DfaCompileUs = nullptr;
 
-  /// Latency of each shared-DFA-tier fetch attempt (hit or miss), when a
-  /// tier is attached (see engine::TieredDfaStore). Local store lookups
-  /// are never timed — only the fetch that may cross a process boundary.
-  Histogram *DfaTierFetchUs = nullptr;
-
   /// Latency of each SMT-guided inferConstants invocation. (Individual
   /// interval sweeps and solver calls are far too frequent to time one by
   /// one — SynthStats::SmtIntervalEvals/SmtSolves count them; the probe

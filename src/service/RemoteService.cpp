@@ -314,7 +314,7 @@ std::string RemoteService::metricsText() const {
 std::string RemoteService::traceJson(uint64_t Id) const {
   if (Id == 0)
     return "";
-  // Serialize whole fetches: the reader matches replies by id, and two
+  // One whole fetch at a time: the reader matches replies by id, and two
   // interleaved fetches for different ids would race one reply slot.
   MutexLock Fetch(TraceM);
   {

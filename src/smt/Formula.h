@@ -10,8 +10,7 @@
 // de-duplicate — so the same SET of constraints builds the same pointer
 // regardless of insertion order. Structural equality is pointer equality
 // and hash() is O(1), which is what lets the engine key a cross-run
-// verdict cache on formulas, and what makes the conjunct-subset test
-// behind the cache's Unsat implication short-circuit a linear merge.
+// verdict cache on formulas.
 // Atoms are interned as constructed: Le/Ge keep their operand direction
 // (every atom in the system is built by one encoder, so mirrored
 // spellings of one comparison do not occur in practice).
@@ -109,13 +108,6 @@ private:
 
   void collectVars(std::vector<VarId> &Out) const;
 };
-
-/// True when every conjunct of \p Sub is a conjunct of \p Sup (treating a
-/// non-And formula as the singleton set of itself, truth as the empty
-/// set). Over identical domains, Sup unsatisfiable follows from Sub
-/// unsatisfiable — the cache's implication short-circuit. Linear merge
-/// over the canonical (sorted) part order.
-bool conjSubset(const FormulaPtr &Sub, const FormulaPtr &Sup);
 
 } // namespace regel::smt
 

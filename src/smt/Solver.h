@@ -39,17 +39,15 @@ struct SolveResult {
 /// (hash-consed, sorted, de-duplicated) conjunction of the solver's
 /// constraints plus the full declared-domain vector; the verdict for a
 /// key never changes, and a Sat entry's model is the exact model the
-/// solver's deterministic ascending-order DFS would produce. lookup may
-/// also answer Unsat for a query whose conjunct set is a superset of a
-/// cached Unsat formula over identical domains (adding conjuncts only
-/// removes models). ResourceOut is never stored — it depends on the
-/// caller's node budget, not on the formula.
+/// solver's deterministic ascending-order DFS would produce. ResourceOut
+/// is never stored — it depends on the caller's node budget, not on the
+/// formula.
 class VerdictStore {
 public:
   virtual ~VerdictStore() = default;
 
   /// Returns true and fills \p Out when a verdict for (F, Domains) is
-  /// known, exactly or by Unsat implication.
+  /// known.
   virtual bool lookup(const FormulaPtr &F,
                       const std::vector<Interval> &Domains,
                       SolveResult &Out) = 0;

@@ -30,9 +30,7 @@ namespace {
 /// enumeration would have rejected each of its up-to-MaxInt^n leaves one
 /// interval sweep at a time. With a verdict store attached
 /// (SynthConfig::SharedSmt) the session's queries hit across jobs that
-/// share sketches and example lengths, and a cached per-example Unsat
-/// core answers the larger joint query by conjunct-subset implication
-/// without any search.
+/// share sketches and example lengths.
 class InferSession {
 public:
   InferSession(const PartialRegex &P0, const Examples &E,

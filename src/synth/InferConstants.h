@@ -32,9 +32,8 @@ struct InferStats {
   uint64_t IntervalEvals = 0;
   uint64_t SmtSolves = 0;
 
-  /// Satisfiability checks answered by the attached verdict store
-  /// (exact hits and Unsat-implication hits alike); disjoint from
-  /// SmtSolves.
+  /// Satisfiability checks answered by the attached verdict store;
+  /// disjoint from SmtSolves.
   uint64_t SmtCacheHits = 0;
 
   /// Enumerations abandoned up front because a per-example or joint

@@ -178,10 +178,10 @@ TEST(EngineStats, CounterPartitionsReconcileWithStores) {
   EXPECT_EQ(Cold.DfaCompiles, Cold.DfaStoreMisses);
 
   // SMT accounting partitions the same way: every solve was a verdict-
-  // store miss and every cache hit a store answer (exact or implied).
+  // store miss and every cache hit a store hit.
   ASSERT_GT(Cold.SmtSolves, 0u);
   EXPECT_EQ(Cold.SmtSolves, Cold.SmtStoreMisses);
-  EXPECT_EQ(Cold.SmtCacheHits, Cold.SmtStoreHits + Cold.SmtStoreImpliedHits);
+  EXPECT_EQ(Cold.SmtCacheHits, Cold.SmtStoreHits);
 
   // The warm pass repeats the same deterministic searches, so its
   // satisfiability checks are answered from the verdict store: strictly
@@ -195,7 +195,7 @@ TEST(EngineStats, CounterPartitionsReconcileWithStores) {
   EXPECT_EQ(Warm.DfaGets,
             Warm.DfaLocalHits + Warm.DfaSharedHits + Warm.DfaCompiles);
   EXPECT_EQ(Warm.SmtSolves, Warm.SmtStoreMisses);
-  EXPECT_EQ(Warm.SmtCacheHits, Warm.SmtStoreHits + Warm.SmtStoreImpliedHits);
+  EXPECT_EQ(Warm.SmtCacheHits, Warm.SmtStoreHits);
 }
 
 TEST(EngineStats, SmtMemoOffDetachesVerdictStore) {

@@ -265,9 +265,11 @@ LAMBDA_RE = re.compile(
 LOOP_RE = re.compile(r"\b(for|while)\s*\(")
 FNHEAD_NAME_RE = re.compile(r"((?:\w+\s*::\s*)*[~\w]+)\s*\(")
 PARAM_RE = re.compile(r"^(.*?)([\w]+)(?:\s*=[^=]*)?$")
+# `Type Name`, `Type &Name` and `Type *Name` locals (the tree's style
+# binds `&`/`*` to the name).
 LOCAL_RE = re.compile(
     r"^[ \t]*(?:const[ \t]+)?((?:[\w:]+(?:<[^<>;()=]*>)?)(?:[ \t]*[*&])*)"
-    r"[ \t]+(\w+)[ \t]*(?:=|\(|\{|;)", re.M)
+    r"(?:[ \t]+|(?<=[*&]))(\w+)[ \t]*(?:=|\(|\{|;)", re.M)
 RANGEFOR_RE = re.compile(
     r"\bfor\s*\(\s*(?:const\s+)?([\w:<>]+|auto)\s*[&*]*\s*(\w+)\s*:"
     r"\s*([^);]+)\)")
