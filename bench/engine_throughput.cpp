@@ -46,14 +46,6 @@
 //   REGEL_SHED_INTERVAL_MS   arrival pacing (default 2)
 //   REGEL_OBS_JOBS           obs-overhead-section jobs (default 2000,
 //                            0 skips)
-//   REGEL_SMT_CACHE          0 skips the smt_cache_on_vs_off section
-//                            (default 1)
-//
-// The smt_cache_on_vs_off section repeats the corpus cold+warm with the
-// SMT verdict store detached (EngineConfig::SmtMemo=false) and compares
-// against the main passes (store attached): warm-pass solver searches
-// actually executed, and the warm check hit rate, with the cache on vs
-// off — what cross-run verdict memoization buys a persistent server.
 //
 // A final overload section (`shedding_overload` in the JSON) runs the
 // same SLA-overload twice — deadline-aware shedding off ("lazy", the
@@ -424,10 +416,6 @@ struct PassReport {
   double ExecP95Ms = 0;
   double DfaHitRate = 0; ///< shared-store hit rate of THIS pass (delta)
   double DfaResolutionRate = 0; ///< end-to-end: 1 - compiles/gets
-  /// Share of this pass's satisfiability checks answered by the verdict
-  /// store (pass-local: each pass gets a fresh engine, so the engine-
-  /// summed SmtCacheHits/SmtSolves are already per-pass deltas).
-  double SmtCheckHitRate = 0;
   engine::StatsSnapshot Stats;
   /// The pass engine's full Prometheus-style exposition, captured before
   /// the engine dies (one pass's text is written out as
@@ -438,11 +426,10 @@ struct PassReport {
 PassReport runPass(unsigned Threads,
                    const std::shared_ptr<engine::SharedCaches> &Caches,
                    const std::vector<data::Benchmark> &Corpus,
-                   int64_t BudgetMs, bool SmtMemo = true) {
+                   int64_t BudgetMs) {
   engine::EngineConfig EC;
   EC.Threads = Threads;
   EC.Caches = Caches;
-  EC.SmtMemo = SmtMemo;
   engine::Engine Eng(EC);
 
   std::vector<engine::JobRequest> Requests;
@@ -514,10 +501,6 @@ PassReport runPass(unsigned Threads,
   // Engine stats are per-engine and each pass gets a fresh engine, so the
   // snapshot's synth counters are already pass-local.
   Rep.DfaResolutionRate = Rep.Stats.dfaResolutionRate();
-  const uint64_t SmtChecks = Rep.Stats.SmtCacheHits + Rep.Stats.SmtSolves;
-  Rep.SmtCheckHitRate = SmtChecks ? static_cast<double>(Rep.Stats.SmtCacheHits) /
-                                        static_cast<double>(SmtChecks)
-                                  : 0.0;
   return Rep;
 }
 
@@ -530,12 +513,11 @@ void appendPassJson(std::string &Out, const PassReport &R) {
                 "\"p99_ms\":%.1f,"
                 "\"exec_p50_ms\":%.1f,\"exec_p95_ms\":%.1f,"
                 "\"dfa_store_hit_rate\":%.3f,"
-                "\"dfa_resolution_rate\":%.4f,"
-                "\"smt_check_hit_rate\":%.3f,\n"
+                "\"dfa_resolution_rate\":%.4f,\n"
                 "     \"engine\":",
                 R.Threads, R.Jobs, R.Solved, R.WallMs, R.JobsPerSec, R.P50Ms,
                 R.P90Ms, R.P95Ms, R.P99Ms, R.ExecP50Ms, R.ExecP95Ms,
-                R.DfaHitRate, R.DfaResolutionRate, R.SmtCheckHitRate);
+                R.DfaHitRate, R.DfaResolutionRate);
   Out += Buf;
   Out += R.Stats.toJson();
   Out += "}";
@@ -680,61 +662,6 @@ int main() {
         Multi.DfaHitRate, StoreRatio);
     Json += Buf;
     Json += CapIdx + 1 < CacheCaps.size() ? ",\n" : "\n  ]";
-  }
-
-  // SMT verdict cache: the same corpus cold+warm with the store DETACHED.
-  // The main passes (store attached, shared caches) are the "on" side;
-  // the comparison isolates what cross-run verdict memoization buys: how
-  // many bounded-DFS searches the warm pass actually runs, and the share
-  // of its satisfiability checks answered from cache.
-  const bool RunSmtCache = envInt("REGEL_SMT_CACHE", 1) != 0;
-  if (RunSmtCache) {
-    std::printf("smt cache off: corpus cold+warm with the verdict store "
-                "detached...\n");
-    auto OffCaches = std::make_shared<engine::SharedCaches>(16);
-    PassReport OffCold =
-        runPass(1, OffCaches, Corpus, BudgetMs, /*SmtMemo=*/false);
-    PassReport OffWarm =
-        runPass(Threads, OffCaches, Corpus, BudgetMs, /*SmtMemo=*/false);
-    const double WarmSolveRatio =
-        OffWarm.Stats.SmtSolves > 0
-            ? static_cast<double>(Multi.Stats.SmtSolves) /
-                  static_cast<double>(OffWarm.Stats.SmtSolves)
-            : 0.0;
-    std::printf("  warm pass solver searches: %llu with cache on vs %llu "
-                "off (ratio %.3f); warm check hit rate %.3f on vs %.3f "
-                "off\n",
-                (unsigned long long)Multi.Stats.SmtSolves,
-                (unsigned long long)OffWarm.Stats.SmtSolves, WarmSolveRatio,
-                Multi.SmtCheckHitRate, OffWarm.SmtCheckHitRate);
-    if (Multi.SmtCheckHitRate < 0.5)
-      std::printf("WARNING: warm-pass smt cache hit rate under 0.5\n");
-
-    char SmtBuf[1024];
-    std::snprintf(SmtBuf, sizeof(SmtBuf),
-                  ",\n  \"smt_cache_on_vs_off\": {\n"
-                  "    \"warm_smt_solves_on\": %llu,\n"
-                  "    \"warm_smt_solves_off\": %llu,\n"
-                  "    \"warm_solve_ratio_on_over_off\": %.3f,\n"
-                  "    \"warm_smt_check_hit_rate_on\": %.3f,\n"
-                  "    \"warm_smt_check_hit_rate_off\": %.3f,\n"
-                  "    \"cold_smt_solves_on\": %llu,\n"
-                  "    \"cold_smt_solves_off\": %llu,\n"
-                  "    \"smt_store_size\": %llu,\n"
-                  "    \"smt_store_evictions\": %llu,\n"
-                  "    \"passes_off\": [\n",
-                  (unsigned long long)Multi.Stats.SmtSolves,
-                  (unsigned long long)OffWarm.Stats.SmtSolves, WarmSolveRatio,
-                  Multi.SmtCheckHitRate, OffWarm.SmtCheckHitRate,
-                  (unsigned long long)Single.Stats.SmtSolves,
-                  (unsigned long long)OffCold.Stats.SmtSolves,
-                  (unsigned long long)Multi.Stats.SmtStoreSize,
-                  (unsigned long long)Multi.Stats.SmtStoreEvictions);
-    Json += SmtBuf;
-    appendPassJson(Json, OffCold);
-    Json += ",\n";
-    appendPassJson(Json, OffWarm);
-    Json += "\n    ]\n  }";
   }
 
   // Fairness: interactive probes against a saturating batch fan-out, FIFO

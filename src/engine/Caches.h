@@ -1,6 +1,6 @@
 //===- engine/Caches.h - Sharded, bounded cross-run caches ------*- C++ -*-===//
 //
-// Part of the Regel reproduction. Thread-safe implementations of the three
+// Part of the Regel reproduction. Thread-safe implementations of the two
 // cache seams the synthesis layers expose, each a thin adapter over one
 // ShardedLru (engine/ShardedLru.h):
 //
@@ -16,15 +16,13 @@
 //     example-independent, so concurrent jobs over a corpus that reuses
 //     sketches share them outright.
 //
-//   * (canonical formula, domains) -> Sat/Unsat verdict (smt/Solver's
-//     VerdictStore): constant-inference queries repeat heavily across
-//     jobs that share sketches and example lengths, and hash-consing
-//     makes the key O(1) to hash and compare.
+// Constant inference's SMT checks are not cached: looking up a canonical
+// query cost about as much as the small bounded DFS it saved.
 //
-// All three are bounded (CacheLimits) with second-chance eviction, so a
+// Both are bounded (CacheLimits) with second-chance eviction, so a
 // serving process can stay up indefinitely without the memo growth that
-// otherwise accumulates one entry per distinct regex/sketch/query ever
-// seen. Eviction is transparent to correctness: every cached value is a
+// otherwise accumulates one entry per distinct regex or sketch ever seen.
+// Eviction is transparent to correctness: every cached value is a
 // deterministic computation, so an evicted entry only costs its
 // recomputation.
 //
@@ -35,7 +33,6 @@
 
 #include "automata/Compile.h"
 #include "engine/ShardedLru.h"
-#include "smt/Solver.h"
 #include "synth/Approximate.h"
 
 namespace regel::engine {
@@ -135,66 +132,15 @@ private:
   ShardedLru<Key, Approx, KeyHash, KeyEq> Lru;
 };
 
-/// A sharded, thread-safe, LRU-bounded (canonical formula, domains) ->
-/// Sat/Unsat verdict store — the engine-side implementation of
-/// smt::VerdictStore. Verdicts are facts (solving is deterministic and
-/// a Sat model is the DFS's unique smallest model), so eviction only
-/// costs a re-solve, exactly like the DFA store's recompilation.
-class ShardedSmtCache : public smt::VerdictStore {
-public:
-  explicit ShardedSmtCache(unsigned NumShards = 16, CacheLimits Limits = {})
-      : Lru(NumShards, Limits) {}
-
-  bool lookup(const smt::FormulaPtr &F,
-              const std::vector<smt::Interval> &Domains,
-              smt::SolveResult &Out) override;
-  void publish(const smt::FormulaPtr &F,
-               const std::vector<smt::Interval> &Domains,
-               const smt::SolveResult &R) override;
-
-  size_t size() const { return Lru.size(); }
-  void clear() { Lru.clear(); }
-  const CacheLimits &limits() const { return Lru.limits(); }
-  uint64_t hits() const { return Lru.hits(); }
-  uint64_t misses() const { return Lru.misses(); }
-  uint64_t evictions() const { return Lru.evictions(); }
-
-  /// The combined key hash (exposed so tests can check shard balance).
-  /// Hash-consing makes the formula component O(1); the domain vector is
-  /// folded through mix64 so shard choice sees every bound.
-  static size_t hashKey(const smt::FormulaPtr &F,
-                        const std::vector<smt::Interval> &Domains);
-
-private:
-  struct Key {
-    smt::FormulaPtr F;
-    std::vector<smt::Interval> D;
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const { return hashKey(K.F, K.D); }
-  };
-  struct KeyEq {
-    bool operator()(const Key &A, const Key &B) const {
-      // Interning makes structural formula equality pointer equality.
-      return A.F == B.F && A.D == B.D;
-    }
-  };
-
-  ShardedLru<Key, smt::SolveResult, KeyHash, KeyEq> Lru;
-};
-
 /// The caches one engine (or several engines, when passed explicitly)
 /// share across all jobs.
 struct SharedCaches {
   explicit SharedCaches(unsigned NumShards = 16, CacheLimits DfaLimits = {},
-                        CacheLimits ApproxLimits = {},
-                        CacheLimits SmtLimits = {})
-      : Dfa(NumShards, DfaLimits), Approx(NumShards, ApproxLimits),
-        Smt(NumShards, SmtLimits) {}
+                        CacheLimits ApproxLimits = {})
+      : Dfa(NumShards, DfaLimits), Approx(NumShards, ApproxLimits) {}
 
   ShardedDfaStore Dfa;
   ShardedApproxStore Approx;
-  ShardedSmtCache Smt;
 };
 
 } // namespace regel::engine

@@ -26,10 +26,9 @@ Engine::Engine(EngineConfig C)
     : Cfg(std::move(C)),
       Clk(Cfg.TimeSource ? Cfg.TimeSource : Clock::steady()),
       Caches(Cfg.Caches ? Cfg.Caches
-                        : std::make_shared<SharedCaches>(Cfg.CacheShards,
-                                                         Cfg.DfaCacheLimits,
-                                                         Cfg.ApproxCacheLimits,
-                                                         Cfg.SmtCacheLimits)),
+                        : std::make_shared<SharedCaches>(
+                              Cfg.CacheShards, Cfg.DfaCacheLimits,
+                              Cfg.ApproxCacheLimits)),
       Reg(std::make_shared<obs::Registry>()),
       Tracing(std::make_shared<obs::Tracer>(Cfg.Trace)),
       Pool(Cfg.Threads, Cfg.FifoScheduling) {
@@ -379,7 +378,6 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
     SC.TopK = Req.TopK;
     SC.SharedDfa = &Caches->Dfa;
     SC.SharedApprox = &Caches->Approx;
-    SC.SharedSmt = Cfg.SmtMemo ? &Caches->Smt : nullptr;
     // Deterministic jobs must not stop mid-search because a sibling
     // succeeded; they still honour client cancel() and the job deadline
     // through the same flag (set above on deadline expiry).
@@ -453,7 +451,6 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
                   {"smt_interval_evals",
                    std::to_string(SR.Stats.SmtIntervalEvals)},
                   {"smt_solves", std::to_string(SR.Stats.SmtSolves)},
-                  {"smt_cache_hits", std::to_string(SR.Stats.SmtCacheHits)},
                   {"cancelled", SR.Cancelled ? "true" : "false"}};
         T->span(std::move(S));
       }
@@ -573,10 +570,6 @@ StatsSnapshot Engine::snapshot() const {
   S.ApproxStoreMisses = Caches->Approx.misses();
   S.ApproxStoreSize = Caches->Approx.size();
   S.ApproxStoreEvictions = Caches->Approx.evictions();
-  S.SmtStoreHits = Caches->Smt.hits();
-  S.SmtStoreMisses = Caches->Smt.misses();
-  S.SmtStoreSize = Caches->Smt.size();
-  S.SmtStoreEvictions = Caches->Smt.evictions();
   const ServiceTimeEstimator::Snapshot E = Estimator.snapshot();
   S.EstimatorInteractiveMs =
       E.EstMs[static_cast<unsigned>(Priority::Interactive)];
@@ -690,9 +683,6 @@ void Engine::mirrorSnapshot() const {
   R.counter("regel_approx_store_misses_total").set(S.ApproxStoreMisses);
   R.counter("regel_approx_store_evictions_total")
       .set(S.ApproxStoreEvictions);
-  R.counter("regel_smt_cache_hits_total").set(S.SmtStoreHits);
-  R.counter("regel_smt_cache_misses_total").set(S.SmtStoreMisses);
-  R.counter("regel_smt_cache_evictions_total").set(S.SmtStoreEvictions);
   R.gauge("regel_queue_depth_jobs")
       .set(static_cast<int64_t>(queueDepth()));
   R.gauge("regel_completions_pending")
@@ -705,8 +695,6 @@ void Engine::mirrorSnapshot() const {
       .set(static_cast<int64_t>(S.DfaStoreCost));
   R.gauge("regel_approx_store_size_entries")
       .set(static_cast<int64_t>(S.ApproxStoreSize));
-  R.gauge("regel_smt_cache_size_entries")
-      .set(static_cast<int64_t>(S.SmtStoreSize));
   // Estimator state in integer us (-1 = cold). A federated SUM of these
   // gauges is meaningless — readers must consume them per backend.
   auto EstUs = [](double Ms) {

@@ -65,16 +65,6 @@ struct EngineConfig {
   /// mean unbounded; see CacheLimits.
   CacheLimits DfaCacheLimits;
   CacheLimits ApproxCacheLimits;
-  CacheLimits SmtCacheLimits;
-
-  /// Cross-run SMT verdict memoization (on by default): synthesis runs
-  /// get SynthConfig::SharedSmt pointed at the shared ShardedSmtCache, so
-  /// constant-inference satisfiability checks repeat across jobs are
-  /// answered from cache instead of re-searched. Off detaches the store
-  /// (every run solves from scratch) — kept as a knob so the bench can
-  /// measure what the cache buys and operators can rule the cache out
-  /// when chasing a wrong-answer report.
-  bool SmtMemo = true;
 
   /// Admission control high-water mark (0 = off): a submission arriving
   /// while queueDepth() is at or above this is rejected outright — the

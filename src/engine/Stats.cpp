@@ -21,7 +21,7 @@ std::string StatsSnapshot::toJson() const {
       "\"solutions\":%llu,"
       "\"synth\":{\"pops\":%llu,\"expansions\":%llu,\"pruned\":%llu,"
       "\"checked\":%llu,\"smt_interval_evals\":%llu,\"smt_solves\":%llu,"
-      "\"smt_cache_hits\":%llu,\"smt_unsat_short_circuits\":%llu,"
+      "\"smt_unsat_short_circuits\":%llu,"
       "\"dfa_gets\":%llu,\"dfa_local_hits\":%llu,"
       "\"dfa_shared_hits\":%llu,"
       "\"dfa_compiles\":%llu,\"total_ms\":%.1f},"
@@ -29,8 +29,6 @@ std::string StatsSnapshot::toJson() const {
       "\"cost\":%llu,\"evictions\":%llu},"
       "\"approx_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
       "\"evictions\":%llu},"
-      "\"smt_store\":{\"hits\":%llu,\"misses\":%llu,"
-      "\"size\":%llu,\"evictions\":%llu},"
       "\"estimator\":{\"interactive_ms\":%.2f,\"batch_ms\":%.2f,"
       "\"background_ms\":%.2f,\"blended_ms\":%.2f,"
       "\"samples_interactive\":%llu,\"samples_batch\":%llu,"
@@ -51,7 +49,6 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)Pops, (unsigned long long)Expansions,
       (unsigned long long)PrunedInfeasible, (unsigned long long)ConcreteChecked,
       (unsigned long long)SmtIntervalEvals, (unsigned long long)SmtSolves,
-      (unsigned long long)SmtCacheHits,
       (unsigned long long)SmtUnsatShortCircuits,
       (unsigned long long)DfaGets,
       (unsigned long long)DfaLocalHits, (unsigned long long)DfaSharedHits,
@@ -63,10 +60,6 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)ApproxStoreMisses,
       (unsigned long long)ApproxStoreSize,
       (unsigned long long)ApproxStoreEvictions,
-      (unsigned long long)SmtStoreHits,
-      (unsigned long long)SmtStoreMisses,
-      (unsigned long long)SmtStoreSize,
-      (unsigned long long)SmtStoreEvictions,
       EstimatorInteractiveMs, EstimatorBatchMs, EstimatorBackgroundMs,
       EstimatorBlendedMs,
       (unsigned long long)EstimatorSamplesInteractive,
@@ -99,7 +92,6 @@ void StatsSnapshot::merge(const StatsSnapshot &O) {
   ConcreteChecked += O.ConcreteChecked;
   SmtIntervalEvals += O.SmtIntervalEvals;
   SmtSolves += O.SmtSolves;
-  SmtCacheHits += O.SmtCacheHits;
   SmtUnsatShortCircuits += O.SmtUnsatShortCircuits;
   DfaGets += O.DfaGets;
   DfaLocalHits += O.DfaLocalHits;
@@ -115,10 +107,6 @@ void StatsSnapshot::merge(const StatsSnapshot &O) {
   ApproxStoreMisses += O.ApproxStoreMisses;
   ApproxStoreSize += O.ApproxStoreSize;
   ApproxStoreEvictions += O.ApproxStoreEvictions;
-  SmtStoreHits += O.SmtStoreHits;
-  SmtStoreMisses += O.SmtStoreMisses;
-  SmtStoreSize += O.SmtStoreSize;
-  SmtStoreEvictions += O.SmtStoreEvictions;
 
   // Estimator EWMAs combine sample-weighted; a cold side (negative
   // estimate / zero samples) contributes nothing, so one warm shard's

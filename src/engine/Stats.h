@@ -65,12 +65,11 @@ struct StatsSnapshot {
 
   // SMT accounting, split by what actually ran (see SynthStats):
   // SmtIntervalEvals are the cheap three-valued sweeps, SmtSolves are
-  // bounded DFS model searches actually executed, SmtCacheHits are
-  // solve() calls answered by the shared verdict store. With one engine
-  // owning its caches, SmtSolves == SmtStoreMisses and SmtCacheHits ==
-  // SmtStoreHits — the partition is exact.
+  // bounded DFS model searches.
   uint64_t SmtIntervalEvals = 0;
   uint64_t SmtSolves = 0;
+  /// Always 0 (SMT checks are no longer cached); kept only because the
+  /// perfbench harness reads it.
   uint64_t SmtCacheHits = 0;
   uint64_t SmtUnsatShortCircuits = 0;
 
@@ -103,19 +102,6 @@ struct StatsSnapshot {
   uint64_t ApproxStoreMisses = 0;
   uint64_t ApproxStoreSize = 0;
   uint64_t ApproxStoreEvictions = 0;
-  uint64_t SmtStoreHits = 0; ///< exact (formula, domains) answers
-  uint64_t SmtStoreMisses = 0;
-  uint64_t SmtStoreSize = 0;
-  uint64_t SmtStoreEvictions = 0;
-
-  /// Share of verdict-store lookups answered without a search — the
-  /// warm-pass figure the SMT cache is judged by.
-  double smtCacheHitRate() const {
-    const uint64_t Lookups = SmtStoreHits + SmtStoreMisses;
-    return Lookups ? static_cast<double>(SmtStoreHits) /
-                         static_cast<double>(Lookups)
-                   : 0.0;
-  }
 
   // Service-time estimator state (EWMA exec ms per class; negative =
   // cold, no samples yet). What deadline-aware shedding decides on.
@@ -166,7 +152,6 @@ public:
     add(ConcreteChecked, S.ConcreteChecked);
     add(SmtIntervalEvals, S.SmtIntervalEvals);
     add(SmtSolves, S.SmtSolves);
-    add(SmtCacheHits, S.SmtCacheHits);
     add(SmtUnsatShortCircuits, S.SmtUnsatShortCircuits);
     add(DfaGets, S.DfaGets);
     add(DfaLocalHits, S.DfaLocalHits);
@@ -197,7 +182,6 @@ public:
     Out.ConcreteChecked = get(ConcreteChecked);
     Out.SmtIntervalEvals = get(SmtIntervalEvals);
     Out.SmtSolves = get(SmtSolves);
-    Out.SmtCacheHits = get(SmtCacheHits);
     Out.SmtUnsatShortCircuits = get(SmtUnsatShortCircuits);
     Out.DfaGets = get(DfaGets);
     Out.DfaLocalHits = get(DfaLocalHits);
@@ -223,9 +207,8 @@ private:
       JobsResidencyExpired{0};
   Counter TasksRun{0}, TasksSkipped{0}, TasksStopped{0}, SolutionsFound{0};
   Counter Pops{0}, Expansions{0}, PrunedInfeasible{0}, ConcreteChecked{0},
-      SmtIntervalEvals{0}, SmtSolves{0}, SmtCacheHits{0},
-      SmtUnsatShortCircuits{0}, DfaGets{0}, DfaLocalHits{0},
-      DfaSharedHits{0}, DfaCompiles{0};
+      SmtIntervalEvals{0}, SmtSolves{0}, SmtUnsatShortCircuits{0}, DfaGets{0},
+      DfaLocalHits{0}, DfaSharedHits{0}, DfaCompiles{0};
   Counter SynthMsTotalU{0}; ///< microseconds, to keep the counter integral
 };
 

@@ -2,161 +2,25 @@
 
 #include "smt/Formula.h"
 
-#include "support/Mutex.h"
-
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
-using namespace regel;
 using namespace regel::smt;
 
-namespace {
-
-/// Interning key; same discipline as the term interner — children by
-/// pointer (interned first, so pointer equality is structural equality),
-/// hash precomputed so expired entries' dangling child pointers are only
-/// ever compared by address.
-struct FormulaKey {
-  FormulaKind Kind;
-  CmpOp Op;
-  const Term *L;
-  const Term *R;
-  std::vector<const Formula *> Parts;
-  uint64_t H;
-};
-
-struct FormulaKeyHash {
-  size_t operator()(const FormulaKey &K) const {
-    return static_cast<size_t>(K.H);
-  }
-};
-
-struct FormulaKeyEq {
-  bool operator()(const FormulaKey &A, const FormulaKey &B) const {
-    return A.Kind == B.Kind && A.Op == B.Op && A.L == B.L && A.R == B.R &&
-           A.Parts == B.Parts;
-  }
-};
-
-struct FormulaInternShard {
-  Mutex M;
-  std::unordered_map<FormulaKey, std::weak_ptr<const Formula>,
-                     FormulaKeyHash, FormulaKeyEq>
-      Map REGEL_GUARDED_BY(M);
-  size_t SweepAt REGEL_GUARDED_BY(M) = 64;
-};
-
-constexpr unsigned NumInternShards = 8;
-
-FormulaInternShard &formulaShard(uint64_t Hash) {
-  static FormulaInternShard Shards[NumInternShards];
-  return Shards[hashMix(Hash) % NumInternShards];
-}
-
-uint64_t formulaHash(FormulaKind Kind, CmpOp Op, const Term *L,
-                     const Term *R,
-                     const std::vector<const Formula *> &Parts) {
-  uint64_t H = hashMix(static_cast<uint64_t>(Kind) + 0x2545f4914f6cdd1dull);
-  switch (Kind) {
-  case FormulaKind::True:
-  case FormulaKind::False:
-    return H;
-  case FormulaKind::Atom:
-    H = hashCombine(H, static_cast<uint64_t>(Op));
-    return hashCombine(hashCombine(H, L->hash()), R->hash());
-  case FormulaKind::And:
-  case FormulaKind::Or:
-    for (const Formula *P : Parts)
-      H = hashCombine(H, P->hash());
-    return H;
-  }
-  return H;
-}
-
-std::vector<const Formula *> rawParts(const std::vector<FormulaPtr> &Parts) {
-  std::vector<const Formula *> Raw;
-  Raw.reserve(Parts.size());
-  for (const FormulaPtr &P : Parts)
-    Raw.push_back(P.get());
-  return Raw;
-}
-
-/// Canonicalizes a flattened part list in place: deterministic structural
-/// sort, then de-duplication (interning makes duplicate parts
-/// pointer-equal and compare()==0).
-void canonicalizeParts(std::vector<FormulaPtr> &Parts) {
-  std::sort(Parts.begin(), Parts.end(),
-            [](const FormulaPtr &A, const FormulaPtr &B) {
-              return Formula::compare(*A, *B) < 0;
-            });
-  Parts.erase(std::unique(Parts.begin(), Parts.end()), Parts.end());
-}
-
-} // namespace
-
-FormulaPtr Formula::intern(FormulaKind Kind, CmpOp Op, TermPtr Lhs,
-                           TermPtr Rhs, std::vector<FormulaPtr> Parts) {
-  FormulaKey K{Kind, Op, Lhs.get(), Rhs.get(), rawParts(Parts), 0};
-  K.H = formulaHash(Kind, Op, K.L, K.R, K.Parts);
-  FormulaInternShard &S = formulaShard(K.H);
-  MutexLock Guard(S.M);
-  auto It = S.Map.find(K);
-  if (It != S.Map.end())
-    if (FormulaPtr P = It->second.lock())
-      return P;
-  FormulaPtr P(new Formula(Kind, Op, std::move(Lhs), std::move(Rhs),
-                           std::move(Parts), K.H));
-  S.Map[std::move(K)] = P;
-  if (S.Map.size() >= S.SweepAt) {
-    for (auto I = S.Map.begin(); I != S.Map.end();)
-      I = I->second.expired() ? S.Map.erase(I) : std::next(I);
-    S.SweepAt = std::max<size_t>(64, S.Map.size() * 2);
-  }
-  return P;
-}
-
-int Formula::compare(const Formula &A, const Formula &B) {
-  if (&A == &B)
-    return 0;
-  if (A.Kind != B.Kind)
-    return static_cast<int>(A.Kind) < static_cast<int>(B.Kind) ? -1 : 1;
-  switch (A.Kind) {
-  case FormulaKind::True:
-  case FormulaKind::False:
-    return 0;
-  case FormulaKind::Atom: {
-    if (A.Op != B.Op)
-      return static_cast<int>(A.Op) < static_cast<int>(B.Op) ? -1 : 1;
-    if (int C = Term::compare(*A.Lhs, *B.Lhs))
-      return C;
-    return Term::compare(*A.Rhs, *B.Rhs);
-  }
-  case FormulaKind::And:
-  case FormulaKind::Or: {
-    const size_t N = std::min(A.Parts.size(), B.Parts.size());
-    for (size_t I = 0; I < N; ++I)
-      if (int C = compare(*A.Parts[I], *B.Parts[I]))
-        return C;
-    return A.Parts.size() < B.Parts.size()
-               ? -1
-               : A.Parts.size() > B.Parts.size() ? 1 : 0;
-  }
-  }
-  return 0;
-}
-
 FormulaPtr Formula::truth() {
-  return intern(FormulaKind::True, CmpOp::Le, nullptr, nullptr, {});
+  return FormulaPtr(
+      new Formula(FormulaKind::True, CmpOp::Le, nullptr, nullptr, {}));
 }
 
 FormulaPtr Formula::falsity() {
-  return intern(FormulaKind::False, CmpOp::Le, nullptr, nullptr, {});
+  return FormulaPtr(
+      new Formula(FormulaKind::False, CmpOp::Le, nullptr, nullptr, {}));
 }
 
 FormulaPtr Formula::atom(CmpOp Op, TermPtr Lhs, TermPtr Rhs) {
   assert(Lhs && Rhs && "null atom operand");
-  return intern(FormulaKind::Atom, Op, std::move(Lhs), std::move(Rhs), {});
+  return FormulaPtr(new Formula(FormulaKind::Atom, Op, std::move(Lhs),
+                                std::move(Rhs), {}));
 }
 
 FormulaPtr Formula::conj(std::vector<FormulaPtr> Parts) {
@@ -174,13 +38,13 @@ FormulaPtr Formula::conj(std::vector<FormulaPtr> Parts) {
     }
     Kept.push_back(std::move(P));
   }
-  canonicalizeParts(Kept);
   if (Kept.empty())
     return truth();
   if (Kept.size() == 1)
     return Kept[0];
-  return intern(FormulaKind::And, CmpOp::Le, nullptr, nullptr,
-                std::move(Kept));
+  return FormulaPtr(
+      new Formula(FormulaKind::And, CmpOp::Le, nullptr, nullptr,
+                  std::move(Kept)));
 }
 
 FormulaPtr Formula::disj(std::vector<FormulaPtr> Parts) {
@@ -198,13 +62,13 @@ FormulaPtr Formula::disj(std::vector<FormulaPtr> Parts) {
     }
     Kept.push_back(std::move(P));
   }
-  canonicalizeParts(Kept);
   if (Kept.empty())
     return falsity();
   if (Kept.size() == 1)
     return Kept[0];
-  return intern(FormulaKind::Or, CmpOp::Le, nullptr, nullptr,
-                std::move(Kept));
+  return FormulaPtr(
+      new Formula(FormulaKind::Or, CmpOp::Le, nullptr, nullptr,
+                  std::move(Kept)));
 }
 
 namespace {

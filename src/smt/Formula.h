@@ -4,16 +4,10 @@
 // over smt terms, with three-valued interval evaluation (the Solver's
 // pruning oracle). Substitutes for the formula layer of Z3.
 //
-// Like terms, formulas are hash-consed into canonical form: conj/disj
-// flatten nested conjunctions/disjunctions, drop units, sort the parts
-// into the deterministic structural order of Formula::compare, and
-// de-duplicate — so the same SET of constraints builds the same pointer
-// regardless of insertion order. Structural equality is pointer equality
-// and hash() is O(1), which is what lets the engine key a cross-run
-// verdict cache on formulas.
-// Atoms are interned as constructed: Le/Ge keep their operand direction
-// (every atom in the system is built by one encoder, so mirrored
-// spellings of one comparison do not occur in practice).
+// conj/disj flatten nested conjunctions/disjunctions, drop units (true in
+// a conjunction, false in a disjunction) and collapse to the absorbing
+// element when one occurs. Parts keep their given order and duplicates
+// are kept: evaluation does not depend on either.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,15 +61,6 @@ public:
     return atom(CmpOp::Ne, std::move(A), std::move(B));
   }
 
-  /// Structural hash, stored at interning time (O(1), cache-key grade:
-  /// interning makes structurally equal formulas pointer-equal).
-  size_t hash() const { return static_cast<size_t>(Hash); }
-
-  /// Deterministic structural total order (by kind, then contents; And/Or
-  /// parts lexicographically). Returns 0 iff &A == &B. The canonical sort
-  /// order of conj/disj parts.
-  static int compare(const Formula &A, const Formula &B);
-
   /// Three-valued evaluation under interval domains: returns True (resp.
   /// False) only when every (resp. no) completion satisfies the formula.
   Tri eval(const std::vector<Interval> &Domains) const;
@@ -91,18 +76,12 @@ public:
 
 private:
   Formula(FormulaKind Kind, CmpOp Op, TermPtr Lhs, TermPtr Rhs,
-          std::vector<FormulaPtr> Parts, uint64_t Hash)
-      : Kind(Kind), Op(Op), Hash(Hash), Lhs(std::move(Lhs)),
-        Rhs(std::move(Rhs)), Parts(std::move(Parts)) {}
-
-  /// Finds or creates the interned node for the (already canonicalized)
-  /// shape.
-  static FormulaPtr intern(FormulaKind Kind, CmpOp Op, TermPtr Lhs,
-                           TermPtr Rhs, std::vector<FormulaPtr> Parts);
+          std::vector<FormulaPtr> Parts)
+      : Kind(Kind), Op(Op), Lhs(std::move(Lhs)), Rhs(std::move(Rhs)),
+        Parts(std::move(Parts)) {}
 
   FormulaKind Kind;
   CmpOp Op = CmpOp::Le;
-  uint64_t Hash = 0;
   TermPtr Lhs, Rhs;
   std::vector<FormulaPtr> Parts;
 

@@ -31,32 +31,13 @@ void Solver::pop() {
 
 SolveResult Solver::solve(uint64_t NodeBudget) {
   SearchNodes = 0;
-  // The canonical query (sorted, de-duplicated conjunction of hash-consed
-  // constraints) is the cache key: insertion order and duplicate blocking
-  // clauses do not fragment the store.
-  FormulaPtr Query;
-  if (Store) {
-    Query = Formula::conj(Constraints);
-    SolveResult Cached;
-    if (Store->lookup(Query, Domains, Cached)) {
-      ++StoreHits;
-      return Cached;
-    }
-  }
   ++Solves;
   std::vector<Interval> Work = Domains;
   Model Out(Domains.size(), 0);
   bool OutOfBudget = false;
-  SolveResult R;
   if (dfs(Work, 0, Out, NodeBudget, OutOfBudget))
-    R = {SolveStatus::Sat, std::move(Out)};
-  else
-    R = {OutOfBudget ? SolveStatus::ResourceOut : SolveStatus::Unsat, {}};
-  // A budget-truncated search says nothing about the formula; only
-  // completed verdicts are shared.
-  if (Store && R.Status != SolveStatus::ResourceOut)
-    Store->publish(Query, Domains, R);
-  return R;
+    return {SolveStatus::Sat, std::move(Out)};
+  return {OutOfBudget ? SolveStatus::ResourceOut : SolveStatus::Unsat, {}};
 }
 
 bool Solver::dfs(std::vector<Interval> &Work, unsigned Depth, Model &Out,

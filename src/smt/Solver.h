@@ -6,7 +6,9 @@
 // interval-based three-valued pruning at every node, ascending value order
 // (so the first model uses the smallest constants — matching Regel's
 // preference for small regexes), and blocking clauses for model
-// enumeration.
+// enumeration. push()/pop() frames let one session check many examples
+// against a shared constraint prefix. Every solve() runs a fresh search:
+// nothing is cached across calls or across solvers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,32 +35,6 @@ struct SolveResult {
   bool isSat() const { return Status == SolveStatus::Sat; }
 };
 
-/// Cross-run verdict store consulted by Solver::solve — the SMT
-/// memoization seam, implemented by the engine's ShardedSmtCache the way
-/// DfaStore is implemented by its ShardedDfaStore. A key is the canonical
-/// (hash-consed, sorted, de-duplicated) conjunction of the solver's
-/// constraints plus the full declared-domain vector; the verdict for a
-/// key never changes, and a Sat entry's model is the exact model the
-/// solver's deterministic ascending-order DFS would produce. ResourceOut
-/// is never stored — it depends on the caller's node budget, not on the
-/// formula.
-class VerdictStore {
-public:
-  virtual ~VerdictStore() = default;
-
-  /// Returns true and fills \p Out when a verdict for (F, Domains) is
-  /// known.
-  virtual bool lookup(const FormulaPtr &F,
-                      const std::vector<Interval> &Domains,
-                      SolveResult &Out) = 0;
-
-  /// Records a Sat/Unsat verdict (implementations drop ResourceOut and
-  /// may drop anything else — the store is bounded and advisory).
-  virtual void publish(const FormulaPtr &F,
-                       const std::vector<Interval> &Domains,
-                       const SolveResult &R) = 0;
-};
-
 /// Bounded-domain solver with DFS + interval pruning.
 class Solver {
 public:
@@ -80,25 +56,16 @@ public:
   void push();
   void pop();
 
-  /// Attaches a cross-run verdict store (nullptr detaches). Borrowed,
-  /// thread-safe, must outlive the solver's solve calls.
-  void setStore(VerdictStore *S) { Store = S; }
-
   /// Searches for a model. \p NodeBudget bounds the number of DFS nodes
-  /// (0 = unlimited); exceeding it yields ResourceOut. With a store
-  /// attached, the canonical query is looked up first (a hit skips the
-  /// search entirely) and a completed verdict is published back.
+  /// (0 = unlimited); exceeding it yields ResourceOut.
   SolveResult solve(uint64_t NodeBudget = 0);
 
   /// Number of DFS nodes visited by the last solve call.
   uint64_t lastSearchNodes() const { return SearchNodes; }
 
-  /// DFS searches actually executed across this solver's lifetime (store
-  /// hits do not run one) — the honest "smt_solves" figure.
+  /// DFS searches run across this solver's lifetime (the "smt_solves"
+  /// figure).
   uint64_t solves() const { return Solves; }
-
-  /// solve() calls answered by the attached verdict store.
-  uint64_t storeHits() const { return StoreHits; }
 
   unsigned numVars() const { return static_cast<unsigned>(Domains.size()); }
 
@@ -109,10 +76,8 @@ private:
   std::vector<Interval> Domains;
   std::vector<FormulaPtr> Constraints;
   std::vector<size_t> Frames; ///< constraint count at each push()
-  VerdictStore *Store = nullptr;
   uint64_t SearchNodes = 0;
   uint64_t Solves = 0;
-  uint64_t StoreHits = 0;
 };
 
 } // namespace regel::smt

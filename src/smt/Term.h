@@ -6,12 +6,11 @@
 // constant because the DSL's unbounded repetitions yield upper bounds of
 // "no bound". This module substitutes for the term layer of Z3.
 //
-// Terms are hash-consed: the factory functions intern every node in a
-// process-global table (after constant folding and after sorting the
-// operands of the commutative constructors into a deterministic canonical
-// order), so structurally equal terms are pointer-equal. That is what
-// makes formulas usable as cache keys — equality is a pointer compare and
-// hash() is a stored field, both O(1).
+// The factory functions fold constants (2 + 3 is 5) and identities
+// (x + 0, x * 1, x * 0, min(x, inf), max(x, 0)) and otherwise build a
+// fresh node with the operands in the order given. Terms are immutable
+// and shared by pointer, but two equal terms need not be one object:
+// nothing compares or hashes terms, it only evaluates them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,31 +43,7 @@ struct Interval {
 
   bool isPoint() const { return Lo == Hi; }
   bool contains(int64_t V) const { return V >= Lo && V <= Hi; }
-
-  friend bool operator==(const Interval &A, const Interval &B) {
-    return A.Lo == B.Lo && A.Hi == B.Hi;
-  }
-  friend bool operator!=(const Interval &A, const Interval &B) {
-    return !(A == B);
-  }
 };
-
-/// splitmix64 finalizer: full-avalanche mix for the structural hashes of
-/// terms and formulas (and the shard selection of the caches keyed on
-/// them).
-inline uint64_t hashMix(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-/// Order-sensitive hash combination (applied after canonical operand
-/// ordering, so equal operand multisets still hash equally).
-inline uint64_t hashCombine(uint64_t Seed, uint64_t V) {
-  return hashMix(Seed ^ (V + 0x9e3779b97f4a7c15ull + (Seed << 6) +
-                         (Seed >> 2)));
-}
 
 enum class TermKind : uint8_t { Const, Var, Add, Mul, Min, Max };
 
@@ -94,18 +69,6 @@ public:
   static TermPtr min(TermPtr A, TermPtr B);
   static TermPtr max(TermPtr A, TermPtr B);
 
-  /// Structural hash, stored at interning time. Combined with interning
-  /// (structural equality == pointer equality) this is all a hash map
-  /// keyed on terms needs.
-  size_t hash() const { return static_cast<size_t>(Hash); }
-
-  /// Deterministic structural total order — constants before variables
-  /// before composites, then by content — used to canonicalize the
-  /// operand order of the commutative constructors. Returns <0, 0, >0;
-  /// 0 iff &A == &B (interning makes structural equality pointer
-  /// equality).
-  static int compare(const Term &A, const Term &B);
-
   /// Interval evaluation under per-variable domains. All variables are
   /// non-negative, so +/* are monotone and interval arithmetic is exact on
   /// the endpoints.
@@ -121,20 +84,13 @@ public:
   std::string str() const;
 
 private:
-  Term(TermKind Kind, int64_t Value, VarId Var, TermPtr Lhs, TermPtr Rhs,
-       uint64_t Hash)
-      : Kind(Kind), Value(Value), Var(Var), Hash(Hash), Lhs(std::move(Lhs)),
+  Term(TermKind Kind, int64_t Value, VarId Var, TermPtr Lhs, TermPtr Rhs)
+      : Kind(Kind), Value(Value), Var(Var), Lhs(std::move(Lhs)),
         Rhs(std::move(Rhs)) {}
-
-  /// Finds or creates the interned node for the (already folded and
-  /// canonically ordered) shape.
-  static TermPtr intern(TermKind Kind, int64_t Value, VarId Var, TermPtr Lhs,
-                        TermPtr Rhs);
 
   TermKind Kind;
   int64_t Value;
   VarId Var;
-  uint64_t Hash;
   TermPtr Lhs, Rhs;
 };
 

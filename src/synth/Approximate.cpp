@@ -275,10 +275,3 @@ bool FeasibilityChecker::infeasible(const PartialRegex &P) {
     return true;
   return false;
 }
-
-bool regel::infeasible(const PartialRegex &P, const Examples &E,
-                       DfaCache &Cache) {
-  (void)Cache;
-  FeasibilityChecker Checker(E);
-  return Checker.infeasible(P);
-}

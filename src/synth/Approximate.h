@@ -92,9 +92,6 @@ private:
   uint64_t Checks = 0;
 };
 
-/// Convenience single-shot form (used by tests).
-bool infeasible(const PartialRegex &P, const Examples &E, DfaCache &Cache);
-
 } // namespace regel
 
 #endif // REGEL_SYNTH_APPROXIMATE_H

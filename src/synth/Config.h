@@ -23,10 +23,6 @@ class Clock;
 class DfaStore;
 class SketchApproxStore;
 
-namespace smt {
-class VerdictStore;
-}
-
 namespace obs {
 struct SynthProbe;
 }
@@ -99,13 +95,6 @@ struct SynthConfig {
   /// engine; nullptr = recompute per run). Like SharedDfa, the memo may
   /// evict: a missing approximation is recomputed, deterministically.
   SketchApproxStore *SharedApprox = nullptr;
-
-  /// Cross-run SMT verdict store (thread-safe, owned by the engine;
-  /// nullptr = every satisfiability check solves from scratch). Attached
-  /// to InferConstants' solver sessions; like the other stores it is
-  /// bounded and advisory — an evicted verdict is just re-solved
-  /// (solving is deterministic, including the model found).
-  smt::VerdictStore *SharedSmt = nullptr;
 
   /// Instrumentation sinks (owned by the engine, outliving the run like
   /// TimeSource; nullptr = no instrumentation): DFA-compile and SMT-

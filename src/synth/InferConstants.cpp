@@ -28,9 +28,7 @@ namespace {
 /// against that shared prefix, followed by a joint check of the full
 /// conjunction. Any Unsat refutes every concretization at once — the
 /// enumeration would have rejected each of its up-to-MaxInt^n leaves one
-/// interval sweep at a time. With a verdict store attached
-/// (SynthConfig::SharedSmt) the session's queries hit across jobs that
-/// share sketches and example lengths.
+/// interval sweep at a time.
 class InferSession {
 public:
   InferSession(const PartialRegex &P0, const Examples &E,
@@ -44,13 +42,22 @@ public:
     addRangeOrderConstraints(P0.root());
     const size_t PrefixEnd = Constraints.size();
 
+    // One length constraint per distinct positive-example length, in
+    // first-occurrence order (the per-example checks stop at the first
+    // Unsat, so the order decides how many solves run).
     SymIntervalSet Lengths = encodeLengths(P0.root());
+    std::vector<int64_t> SeenLengths;
     std::vector<smt::FormulaPtr> LengthConstraints;
-    for (const std::string &S : E.Pos)
-      addConstraintOnce(LengthConstraints,
-                        lengthMembership(Lengths, static_cast<int64_t>(S.size())));
-    for (const smt::FormulaPtr &C : LengthConstraints)
-      addConstraintOnce(Constraints, C);
+    for (const std::string &S : E.Pos) {
+      const int64_t Len = static_cast<int64_t>(S.size());
+      if (std::find(SeenLengths.begin(), SeenLengths.end(), Len) !=
+          SeenLengths.end())
+        continue;
+      SeenLengths.push_back(Len);
+      LengthConstraints.push_back(lengthMembership(Lengths, Len));
+    }
+    Constraints.insert(Constraints.end(), LengthConstraints.begin(),
+                       LengthConstraints.end());
 
     if (Budget && Budget->expired())
       return;
@@ -64,15 +71,6 @@ public:
   std::vector<RegexPtr> take() { return std::move(Results); }
 
 private:
-  /// Appends \p C unless already present. Hash-consing makes structural
-  /// equality pointer equality, so duplicate conjuncts (repeated example
-  /// lengths, repeated subsketches) cost one pointer scan to drop.
-  static void addConstraintOnce(std::vector<smt::FormulaPtr> &Out,
-                                smt::FormulaPtr C) {
-    if (std::find(Out.begin(), Out.end(), C) == Out.end())
-      Out.push_back(std::move(C));
-  }
-
   void addRangeOrderConstraints(const PNodePtr &N) {
     if (N->getKind() == PLabelKind::OpLabel &&
         N->op() == RegexKind::RepeatRange) {
@@ -83,7 +81,7 @@ private:
                    ? smt::Term::constant(C->intValue())
                    : smt::Term::var(C->symInt());
       };
-      addConstraintOnce(Constraints, smt::Formula::le(toTerm(K1), toTerm(K2)));
+      Constraints.push_back(smt::Formula::le(toTerm(K1), toTerm(K2)));
     }
     for (const PNodePtr &C : N->children())
       addRangeOrderConstraints(C);
@@ -98,7 +96,6 @@ private:
   bool checkLengthsSatisfiable(
       size_t PrefixEnd, const std::vector<smt::FormulaPtr> &LengthConstraints) {
     smt::Solver S;
-    S.setStore(Cfg.SharedSmt);
     for (uint32_t I = 0; I < NumVars; ++I)
       S.declareVar(1, Cfg.MaxInt);
     for (size_t I = 0; I < PrefixEnd; ++I)
@@ -114,15 +111,14 @@ private:
       S.pop();
     }
     if (!AnyUnsat && LengthConstraints.size() > 1) {
-      // The joint query's conjunct set contains each per-example set, so
-      // a store can answer it from a cached per-example Unsat core.
+      // No length was refuted on its own, but the examples can still
+      // disagree on the constants (e.g. one needs k <= 2, another k >= 3).
       for (const smt::FormulaPtr &LenC : LengthConstraints)
         S.addConstraint(LenC);
       if (S.solve(Cfg.SmtNodeBudget).Status == smt::SolveStatus::Unsat)
         AnyUnsat = true;
     }
     Stats.SmtSolves += S.solves();
-    Stats.SmtCacheHits += S.storeHits();
     return !AnyUnsat;
   }
 

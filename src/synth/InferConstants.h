@@ -23,18 +23,13 @@ namespace regel {
 /// operations; it is now split so the numbers mean what they say:
 ///   IntervalEvals — three-valued interval sweeps over the constraint
 ///                   set (microseconds each, one per enumeration node);
-///   SmtSolves     — DFS model searches actually executed by the
-///                   bounded solver (the expensive operation, and the
-///                   one the verdict cache elides).
+///   SmtSolves     — DFS model searches executed by the bounded
+///                   solver (the expensive operation).
 /// solveCalls() keeps the legacy sum for one release; see
 /// docs/OBSERVABILITY.md for the deprecation schedule.
 struct InferStats {
   uint64_t IntervalEvals = 0;
   uint64_t SmtSolves = 0;
-
-  /// Satisfiability checks answered by the attached verdict store;
-  /// disjoint from SmtSolves.
-  uint64_t SmtCacheHits = 0;
 
   /// Enumerations abandoned up front because a per-example or joint
   /// length check came back Unsat.

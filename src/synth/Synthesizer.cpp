@@ -13,8 +13,6 @@
 #include "synth/InferConstants.h"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <queue>
 #include <unordered_set>
 
@@ -241,14 +239,9 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
       Result.Cancelled = Budget.cancelled();
       break;
     }
-    unsigned PopCost = Worklist.top().Cost;
     PartialRegex P = Worklist.top().P;
     Worklist.pop();
     ++Result.Stats.Pops;
-    if (getenv("REGEL_TRACE") && Result.Stats.Pops <= 400)
-      fprintf(stderr, "pop %llu cost=%u %s\n",
-              (unsigned long long)Result.Stats.Pops, PopCost,
-              P.str().c_str());
 
     if (P.isSymbolic()) {
       // SMT-guided inference of the integer constants (Sec. 4.2). Timed
@@ -271,7 +264,6 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
           S.Tid = Cfg.Probe->Tid;
           S.Args = {{"interval_evals", std::to_string(IS.IntervalEvals)},
                     {"solves", std::to_string(IS.SmtSolves)},
-                    {"cache_hits", std::to_string(IS.SmtCacheHits)},
                     {"iterations", std::to_string(IS.Iterations)},
                     {"results", std::to_string(Concrete.size())}};
           Cfg.Probe->Trace->span(std::move(S));
@@ -279,7 +271,6 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
       }
       Result.Stats.SmtIntervalEvals += IS.IntervalEvals;
       Result.Stats.SmtSolves += IS.SmtSolves;
-      Result.Stats.SmtCacheHits += IS.SmtCacheHits;
       Result.Stats.SmtUnsatShortCircuits += IS.UnsatShortCircuits;
       Result.Stats.InferIterations += IS.Iterations;
       for (RegexPtr &R : Concrete) {

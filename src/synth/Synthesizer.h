@@ -30,12 +30,10 @@ struct SynthStats {
 
   // SMT accounting, split by what actually ran (see InferStats):
   // interval sweeps are the cheap per-node pruning oracle, solves are
-  // bounded DFS model searches, cache hits are solve() calls answered by
-  // the shared verdict store without a search. (The pre-split "smt_calls"
-  // aggregate is gone; read the split fields.)
+  // bounded DFS model searches. (The pre-split "smt_calls" aggregate is
+  // gone; read the split fields.)
   uint64_t SmtIntervalEvals = 0;
   uint64_t SmtSolves = 0;
-  uint64_t SmtCacheHits = 0;
   uint64_t SmtUnsatShortCircuits = 0;
   uint64_t InferIterations = 0;
 

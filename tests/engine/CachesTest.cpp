@@ -202,56 +202,6 @@ TEST(ShardedApproxStore, KeyHashSpreadsConsecutiveDepthsAcrossShards) {
   EXPECT_GE(Distinct, 12u);
 }
 
-namespace {
-
-smt::FormulaPtr geAtom(int64_t Bound) {
-  return smt::Formula::ge(smt::Term::var(0), smt::Term::constant(Bound));
-}
-
-smt::SolveResult satResult(int64_t K0) {
-  smt::SolveResult R;
-  R.Status = smt::SolveStatus::Sat;
-  R.Assignment = {K0};
-  return R;
-}
-
-} // namespace
-
-TEST(ShardedSmtCache, LookupMissThenPublishThenHit) {
-  ShardedSmtCache Store(4);
-  const std::vector<smt::Interval> D = {{1, 10}};
-  smt::FormulaPtr F = geAtom(7);
-  smt::SolveResult Out;
-  EXPECT_FALSE(Store.lookup(F, D, Out));
-  EXPECT_EQ(Store.misses(), 1u);
-
-  Store.publish(F, D, satResult(7));
-  EXPECT_EQ(Store.size(), 1u);
-
-  // A structurally equal formula built independently is the SAME pointer
-  // (hash-consing), so it hits; different domains miss.
-  smt::FormulaPtr F2 = geAtom(7);
-  ASSERT_EQ(F.get(), F2.get());
-  ASSERT_TRUE(Store.lookup(F2, D, Out));
-  EXPECT_EQ(Out.Status, smt::SolveStatus::Sat);
-  EXPECT_EQ(Out.Assignment, (smt::Model{7}));
-  EXPECT_EQ(Store.hits(), 1u);
-  EXPECT_FALSE(Store.lookup(F2, {{1, 5}}, Out));
-}
-
-TEST(ShardedSmtCache, ResourceOutIsNeverStored) {
-  // A budget-truncated verdict says nothing about the formula.
-  ShardedSmtCache Store(4);
-  const std::vector<smt::Interval> D = {{1, 10}};
-  Store.publish(geAtom(5), D, {smt::SolveStatus::ResourceOut, {}});
-  EXPECT_EQ(Store.size(), 0u);
-  smt::SolveResult Out;
-  EXPECT_FALSE(Store.lookup(geAtom(5), D, Out));
-  Store.publish(geAtom(5), D, {smt::SolveStatus::Unsat, {}});
-  ASSERT_TRUE(Store.lookup(geAtom(5), D, Out));
-  EXPECT_EQ(Out.Status, smt::SolveStatus::Unsat);
-}
-
 TEST(ShardedDfaStore, ConcurrentPublishersConverge) {
   ShardedDfaStore Store(8);
   std::vector<const char *> Patterns = {

@@ -164,83 +164,6 @@ TEST(Solver, PushPopRestoresConstraints) {
   S.pop();
 }
 
-namespace {
-
-/// Minimal single-threaded VerdictStore for seam tests: exact-key memory
-/// plus a publish log.
-class MapStore : public VerdictStore {
-public:
-  bool lookup(const FormulaPtr &F, const std::vector<Interval> &Domains,
-              SolveResult &Out) override {
-    for (const Entry &E : Entries)
-      if (E.F == F && E.D == Domains) {
-        Out = E.R;
-        return true;
-      }
-    return false;
-  }
-  void publish(const FormulaPtr &F, const std::vector<Interval> &Domains,
-               const SolveResult &R) override {
-    Entries.push_back({F, Domains, R});
-  }
-
-  struct Entry {
-    FormulaPtr F;
-    std::vector<Interval> D;
-    SolveResult R;
-  };
-  std::vector<Entry> Entries;
-};
-
-} // namespace
-
-TEST(Solver, VerdictStoreRoundTrip) {
-  MapStore Store;
-  auto MakeSolver = [&Store] {
-    Solver S;
-    S.setStore(&Store);
-    VarId K0 = S.declareVar(1, 15), K1 = S.declareVar(1, 15);
-    S.addConstraint(Formula::ge(Term::add(V(K0), V(K1)), C(10)));
-    S.addConstraint(Formula::le(V(K0), C(4)));
-    return S;
-  };
-
-  Solver First = MakeSolver();
-  SolveResult Cold = First.solve();
-  ASSERT_TRUE(Cold.isSat());
-  EXPECT_EQ(First.solves(), 1u);
-  EXPECT_EQ(First.storeHits(), 0u);
-  ASSERT_EQ(Store.Entries.size(), 1u);
-
-  // A fresh solver over the same constraints is answered from the store:
-  // no search, identical model (the cache returns the smallest model the
-  // original search found, so ordering guarantees survive memoization).
-  Solver Second = MakeSolver();
-  SolveResult Warm = Second.solve();
-  ASSERT_TRUE(Warm.isSat());
-  EXPECT_EQ(Warm.Assignment, Cold.Assignment);
-  EXPECT_EQ(Second.solves(), 0u);
-  EXPECT_EQ(Second.storeHits(), 1u);
-}
-
-TEST(Solver, ResourceOutNeverPublished) {
-  // A budget-dependent verdict must not poison the cache: a later caller
-  // with a bigger budget would inherit the wrong answer.
-  MapStore Store;
-  Solver S;
-  S.setStore(&Store);
-  for (int I = 0; I < 4; ++I)
-    S.declareVar(1, 30);
-  S.addConstraint(Formula::eq(
-      Term::mul(V(0), V(1)), Term::add(Term::mul(V(2), V(3)), C(1))));
-  EXPECT_EQ(S.solve(/*NodeBudget=*/2).Status, SolveStatus::ResourceOut);
-  EXPECT_TRUE(Store.Entries.empty());
-  // With budget, the same solver decides and publishes.
-  SolveResult R = S.solve();
-  EXPECT_NE(R.Status, SolveStatus::ResourceOut);
-  EXPECT_EQ(Store.Entries.size(), 1u);
-}
-
 TEST(Solver, ModelSatisfiesAllConstraints) {
   Solver S;
   VarId K0 = S.declareVar(1, 15), K1 = S.declareVar(1, 15);

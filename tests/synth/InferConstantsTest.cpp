@@ -7,11 +7,12 @@
 
 #include "synth/InferConstants.h"
 
-#include "engine/Caches.h"
 #include "regex/Matcher.h"
 #include "regex/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace regel;
 
@@ -166,11 +167,9 @@ TEST(InferConstants, StatsPopulated) {
   auto Out = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Stats);
   EXPECT_EQ(Out.size(), 1u);
   // The split counters: interval sweeps drive the enumeration, the
-  // length pre-check runs at least one real solve (no store attached, so
-  // nothing can be answered from cache).
+  // length pre-check runs at least one real solve.
   EXPECT_GT(Stats.IntervalEvals, 0u);
   EXPECT_GT(Stats.SmtSolves, 0u);
-  EXPECT_EQ(Stats.SmtCacheHits, 0u);
   EXPECT_EQ(Stats.solveCalls(), Stats.IntervalEvals + Stats.SmtSolves);
   EXPECT_GT(Stats.Iterations, 0u);
   EXPECT_FALSE(Stats.HitIterationCap);
@@ -214,64 +213,70 @@ TEST(InferConstants, IterationCapMidEnumerationIsCleanPrefix) {
         << "capped run diverged at result " << I;
 }
 
-TEST(InferConstants, VerdictStoreRerunSkipsSolves) {
-  // With a verdict store attached, a rerun of the same inference answers
-  // its satisfiability checks from cache: no new solves, and the run/
-  // store counters partition exactly.
-  PNodePtr Root = PNode::opNode(
-      RegexKind::Repeat,
-      {PNode::leafNode(parseRegex("<num>")), PNode::symIntNode(0)});
+TEST(InferConstants, RerunIsIdentical) {
+  // Inference keeps no state across runs: rerunning the same inference
+  // gives identical results and runs exactly as many solves again.
+  auto RunTwice = [](const PNodePtr &Root, const Examples &E,
+                     InferStats &Second) {
+    SynthConfig Cfg;
+    FeasibilityChecker Checker(E);
+    InferStats First;
+    auto A = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, First);
+    auto B = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Second);
+    EXPECT_GT(First.SmtSolves, 0u);
+    EXPECT_EQ(First.SmtSolves, Second.SmtSolves);
+    EXPECT_EQ(First.UnsatShortCircuits, Second.UnsatShortCircuits);
+    EXPECT_EQ(First.Iterations, Second.Iterations);
+    EXPECT_EQ(A.size(), B.size());
+    for (size_t I = 0; I < std::min(A.size(), B.size()); ++I)
+      EXPECT_TRUE(regexEquals(A[I], B[I]));
+    return B;
+  };
+
   Examples E;
   E.Pos = {"1234", "12345"};
-  engine::ShardedSmtCache Store(4);
-  SynthConfig Cfg;
-  Cfg.SharedSmt = &Store;
-  FeasibilityChecker Checker(E);
+  InferStats Sat;
+  EXPECT_FALSE(RunTwice(PNode::opNode(RegexKind::RepeatAtLeast,
+                                      {PNode::leafNode(parseRegex("<num>")),
+                                       PNode::symIntNode(0)}),
+                        E, Sat)
+                   .empty());
 
-  InferStats Cold;
-  auto First = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Cold);
-  EXPECT_GT(Cold.SmtSolves, 0u);
-
-  InferStats Warm;
-  auto Second = inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Warm);
-  EXPECT_EQ(Warm.SmtSolves, 0u);
-  EXPECT_GT(Warm.SmtCacheHits, 0u);
-  ASSERT_EQ(First.size(), Second.size());
-  for (size_t I = 0; I < First.size(); ++I)
-    EXPECT_TRUE(regexEquals(First[I], Second[I]));
-
-  // Store-level figures reconcile with the run-level ones: every solve
-  // was a store miss, every cache hit a store answer.
-  EXPECT_EQ(Store.misses(), Cold.SmtSolves + Warm.SmtSolves);
-  EXPECT_EQ(Store.hits(), Cold.SmtCacheHits + Warm.SmtCacheHits);
+  // Unsatisfiable lengths: both runs short-circuit before enumerating.
+  E.Pos = {"123"};
+  InferStats Unsat;
+  EXPECT_TRUE(
+      RunTwice(PNode::opNode(RegexKind::Repeat,
+                             {PNode::leafNode(parseRegex("Repeat(<num>,2)")),
+                              PNode::symIntNode(0)}),
+               E, Unsat)
+          .empty());
+  EXPECT_EQ(Unsat.UnsatShortCircuits, 1u);
+  EXPECT_EQ(Unsat.Iterations, 0u);
 }
 
-TEST(InferConstants, VerdictStoreCachesUnsatShortCircuit) {
-  // Unsatisfiable lengths: the first run pays the solves, the rerun is
-  // answered entirely from the store, and both short-circuit before
-  // enumerating anything.
+TEST(InferConstants, DuplicateLengthsSolvedOnce) {
+  // A repeated positive length adds no constraint and no solve: the
+  // session checks each distinct length once, in first-occurrence order.
   PNodePtr Root = PNode::opNode(
-      RegexKind::Repeat,
-      {PNode::leafNode(parseRegex("Repeat(<num>,2)")), PNode::symIntNode(0)});
-  Examples E;
-  E.Pos = {"123"};
-  engine::ShardedSmtCache Store(4);
-  SynthConfig Cfg;
-  Cfg.SharedSmt = &Store;
-  FeasibilityChecker Checker(E);
-
-  InferStats Cold;
-  EXPECT_TRUE(
-      inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Cold).empty());
-  EXPECT_EQ(Cold.UnsatShortCircuits, 1u);
-  EXPECT_GT(Cold.SmtSolves, 0u);
-  EXPECT_EQ(Cold.Iterations, 0u);
-
-  InferStats Warm;
-  EXPECT_TRUE(
-      inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Warm).empty());
-  EXPECT_EQ(Warm.UnsatShortCircuits, 1u);
-  EXPECT_EQ(Warm.SmtSolves, 0u);
-  EXPECT_GT(Warm.SmtCacheHits, 0u);
-  EXPECT_EQ(Warm.Iterations, 0u);
+      RegexKind::RepeatAtLeast,
+      {PNode::leafNode(parseRegex("<num>")), PNode::symIntNode(0)});
+  auto Run = [&Root](std::vector<std::string> Pos, InferStats &Stats) {
+    Examples E;
+    E.Pos = std::move(Pos);
+    SynthConfig Cfg;
+    FeasibilityChecker Checker(E);
+    return inferConstants(PartialRegex(Root, 1), E, Cfg, Checker, Stats);
+  };
+  InferStats Dup, Distinct;
+  auto A = Run({"1234", "12345", "1234"}, Dup);
+  auto B = Run({"1234", "12345"}, Distinct);
+  // Two per-length checks plus the joint check.
+  EXPECT_EQ(Distinct.SmtSolves, 3u);
+  EXPECT_EQ(Dup.SmtSolves, Distinct.SmtSolves);
+  EXPECT_EQ(Dup.Iterations, Distinct.Iterations);
+  ASSERT_FALSE(B.empty());
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I < A.size(); ++I)
+    EXPECT_TRUE(regexEquals(A[I], B[I]));
 }

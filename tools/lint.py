@@ -31,6 +31,13 @@ Rules, each with a short slug used in output and inline suppressions:
                  with no blank line between them (the RemoteService
                  CV-predicate style).
 
+  env-knob       No getenv / std::getenv in src/: library behaviour comes
+                 from config structs (SynthConfig, EngineConfig, ...), so
+                 every setting is visible to the caller and to tests. An
+                 environment read is a hidden knob nothing documents.
+                 Benches and examples may read the environment; src/
+                 may not.
+
 A line may carry `// lint:allow <slug>` to suppress one finding with the
 justification expected in the surrounding comment. File-level allowlist
 entries (clock-seam only) are below, each with its reason.
@@ -306,8 +313,24 @@ def check_ntsa_lock_comment(rel, text, stripped, allows):
     return findings
 
 
+ENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+
+
+def check_env_knob(rel, text, stripped, allows):
+    findings = []
+    for m in ENV_RE.finditer(stripped):
+        ln = line_of(stripped, m.start())
+        if "env-knob" in allows.get(ln, ()):
+            continue
+        findings.append(Finding(
+            rel, ln, "env-knob",
+            "environment read in src/ — take the setting from a config "
+            "struct instead"))
+    return findings
+
+
 CHECKS = [check_clock_seam, check_guarded_mutex, check_naked_new,
-          check_ntsa_lock_comment]
+          check_ntsa_lock_comment, check_env_knob]
 
 
 def lint_file(root, path):
