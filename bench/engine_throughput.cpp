@@ -5,20 +5,10 @@
 // serving metrics (jobs/sec, p50/p95 latency) as JSON in BENCH_engine.json.
 //
 // Two passes run over the same corpus — single worker, then multi worker —
-// sharing the cross-run caches, exactly like a persistent serving process
-// that stays warm across requests. The multi-worker pass therefore shows
-// the combined effect of the two engine features this bench exists to
-// measure: parallel sketch tasks and cross-run cache reuse.
-//
-// Further cold/warm pairs then repeat the same corpus against caches
-// capped at each entry count in REGEL_CACHE_CAP (second-chance-evicted):
-// the capped_vs_uncapped rows of BENCH_engine.json report how much
-// warm-pass hit rate a bounded store gives up and that the store size
-// actually held the cap — the trade a long-lived serving process makes
-// for bounded memory. The default sweep pairs a tight cap (1000 ~ 4% of
-// this corpus's ~24k-DFA working set, where eviction churn is constant)
-// with one sized to the working set (24000, where retention stays within
-// 20% of unbounded).
+// sharing the cross-run DFA store, exactly like a persistent serving
+// process that stays warm across requests. The multi-worker pass therefore
+// shows the combined effect of the two engine features this bench exists
+// to measure: parallel sketch tasks and cross-run DFA reuse.
 //
 // A final fairness section measures what priority scheduling buys: a
 // saturating Batch-class fan-out churns while Interactive-class queries
@@ -33,8 +23,6 @@
 //   REGEL_BENCH_LIMIT        max benchmarks per dataset (default 25, 0 = all)
 //   REGEL_BENCH_BUDGET_MS    per-job deadline (default 1500)
 //   REGEL_ENGINE_THREADS     workers in the multi-threaded pass (default 2)
-//   REGEL_CACHE_CAP          comma-separated entry caps for the capped
-//                            passes (default "1000,24000", empty/0 skips)
 //   REGEL_FAIRNESS_BATCH     batch jobs in the fairness passes
 //                            (default 100, 0 skips the section)
 //   REGEL_FAIRNESS_BATCH_MS  per-batch-job budget (default 150)
@@ -68,7 +56,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -531,21 +518,6 @@ int main() {
   const int64_t BudgetMs = envInt("REGEL_BENCH_BUDGET_MS", 1500);
   const unsigned Threads = std::max<unsigned>(
       2, static_cast<unsigned>(envInt("REGEL_ENGINE_THREADS", 2)));
-  std::vector<size_t> CacheCaps;
-  {
-    const char *Env = std::getenv("REGEL_CACHE_CAP");
-    std::string Spec = Env ? Env : "1000,24000";
-    size_t Pos = 0;
-    while (Pos < Spec.size()) {
-      size_t Comma = Spec.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = Spec.size();
-      long long Cap = std::atoll(Spec.substr(Pos, Comma - Pos).c_str());
-      if (Cap > 0)
-        CacheCaps.push_back(static_cast<size_t>(Cap));
-      Pos = Comma + 1;
-    }
-  }
 
   std::printf("loading corpora...\n");
   std::vector<data::Benchmark> Corpus = limited(data::deepRegexSet(), Limit);
@@ -556,8 +528,9 @@ int main() {
   std::printf("corpus: %zu deepregex + %zu stackoverflow = %zu jobs/pass\n",
               DeepCount, SoCount, Corpus.size());
 
-  // Both passes share the cross-run caches (a persistent server is always
-  // warm); the single-worker pass runs first and pays the compilations.
+  // Both passes share the cross-run DFA store (a persistent server is
+  // always warm); the single-worker pass runs first and pays the
+  // compilations.
   auto Caches = std::make_shared<engine::SharedCaches>(16);
 
   std::printf("pass 1: 1 worker (cold caches)...\n");
@@ -588,81 +561,6 @@ int main() {
                 Single.JobsPerSec > 0 ? Multi.JobsPerSec / Single.JobsPerSec
                                       : 0.0);
   Json += Buf;
-
-  if (!CacheCaps.empty())
-    Json += ",\n  \"capped_vs_uncapped\": [\n";
-  unsigned PassNo = 3;
-  for (size_t CapIdx = 0; CapIdx < CacheCaps.size(); ++CapIdx) {
-    // Capped run: same corpus, fresh caches bounded to CacheCap entries
-    // per store. The warm pass's hit rate against the uncapped warm pass
-    // is the cost of bounded memory; the store size shows the cap held.
-    const size_t CacheCap = CacheCaps[CapIdx];
-    engine::CacheLimits Capped;
-    Capped.MaxEntries = CacheCap;
-    auto CappedCaches =
-        std::make_shared<engine::SharedCaches>(16, Capped, Capped);
-
-    std::printf("pass %u: 1 worker (cold, caches capped at %zu)...\n",
-                PassNo++, CacheCap);
-    PassReport CappedCold = runPass(1, CappedCaches, Corpus, BudgetMs);
-    std::printf("  %.2f jobs/sec, dfa store %llu/%zu entries\n",
-                CappedCold.JobsPerSec,
-                (unsigned long long)CappedCold.Stats.DfaStoreSize, CacheCap);
-
-    std::printf("pass %u: %u workers (warm, capped at %zu)...\n", PassNo++,
-                Threads, CacheCap);
-    PassReport CappedWarm = runPass(Threads, CappedCaches, Corpus, BudgetMs);
-    const double StoreRatio = Multi.DfaHitRate > 0
-                                  ? CappedWarm.DfaHitRate / Multi.DfaHitRate
-                                  : 0.0;
-    const double ResolutionRatio =
-        Multi.DfaResolutionRate > 0
-            ? CappedWarm.DfaResolutionRate / Multi.DfaResolutionRate
-            : 0.0;
-    std::printf("  %.2f jobs/sec, warm dfa resolution %.4f (uncapped %.4f, "
-                "ratio %.3f); store hit rate %.3f (uncapped %.3f), "
-                "%llu evictions\n",
-                CappedWarm.JobsPerSec, CappedWarm.DfaResolutionRate,
-                Multi.DfaResolutionRate, ResolutionRatio,
-                CappedWarm.DfaHitRate, Multi.DfaHitRate,
-                (unsigned long long)CappedWarm.Stats.DfaStoreEvictions);
-    const bool CapHeld = CappedWarm.Stats.DfaStoreSize <= CacheCap &&
-                         CappedCold.Stats.DfaStoreSize <= CacheCap;
-    if (!CapHeld)
-      std::printf("WARNING: capped store exceeded its cap\n");
-    if (Multi.DfaResolutionRate > 0 && ResolutionRatio < 0.8)
-      std::printf("note: cap %zu trades >20%% of the warm DFA resolution "
-                  "rate for bounded memory (working set exceeds the cap)\n",
-                  CacheCap);
-
-    Json += "    {\n";
-    std::snprintf(Buf, sizeof(Buf),
-                  "    \"dfa_cap_entries\": %zu,\n    \"passes\": [\n",
-                  CacheCap);
-    Json += Buf;
-    appendPassJson(Json, CappedCold);
-    Json += ",\n";
-    appendPassJson(Json, CappedWarm);
-    Json += "\n    ],\n";
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "    \"dfa_store_size\": %llu,\n"
-        "    \"dfa_store_evictions\": %llu,\n"
-        "    \"cap_held\": %s,\n"
-        "    \"warm_dfa_resolution_rate\": %.4f,\n"
-        "    \"uncapped_warm_dfa_resolution_rate\": %.4f,\n"
-        "    \"warm_resolution_rate_ratio\": %.3f,\n"
-        "    \"warm_dfa_store_hit_rate\": %.3f,\n"
-        "    \"uncapped_warm_dfa_store_hit_rate\": %.3f,\n"
-        "    \"warm_store_hit_rate_ratio\": %.3f\n    }",
-        (unsigned long long)CappedWarm.Stats.DfaStoreSize,
-        (unsigned long long)CappedWarm.Stats.DfaStoreEvictions,
-        CapHeld ? "true" : "false", CappedWarm.DfaResolutionRate,
-        Multi.DfaResolutionRate, ResolutionRatio, CappedWarm.DfaHitRate,
-        Multi.DfaHitRate, StoreRatio);
-    Json += Buf;
-    Json += CapIdx + 1 < CacheCaps.size() ? ",\n" : "\n  ]";
-  }
 
   // Fairness: interactive probes against a saturating batch fan-out, FIFO
   // vs priority scheduling. The interesting figure is interactive p95 —

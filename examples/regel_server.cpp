@@ -8,12 +8,12 @@
 // poll()-based event loop serves every TCP client on [port] (default 7411,
 // 0 = ephemeral — the chosen port is printed), while a persistent
 // engine::Engine runs the synthesis jobs, so worker threads and the
-// cross-run caches (regex->DFA, sketch approximations) stay warm between
-// queries. No thread blocks per outstanding job: `solve` submits and the
-// completion is pushed to the client when it lands, so thousands of
-// concurrent queries need only the loop thread plus the worker pool.
+// cross-run regex->DFA store stay warm between queries. No thread blocks
+// per outstanding job: `solve` submits and the completion is pushed to the
+// client when it lands, so thousands of concurrent queries need only the
+// loop thread plus the worker pool.
 //
-// The caches are capped (second-chance-evicted; [cache-cap] entries each,
+// The DFA store is capped (second-chance-evicted; [cache-cap] entries,
 // default 25000, 0 = unbounded) so the process can stay up indefinitely,
 // and submissions are shed once [high-water] jobs are in flight (default
 // 64, 0 = off). With [shed] (default 1), admission is also
@@ -26,7 +26,7 @@
 //
 // With [backends] > 1 (default 1) the server fronts a RouterService over
 // that many independent engines ([threads] workers EACH, separate capped
-// caches): jobs route by sketch-affinity hashing with least-estimated-
+// DFA stores): jobs route by sketch-affinity hashing with least-estimated-
 // wait spillover — the in-process preview of the N-process sharded
 // deployment (see src/service/RouterService.h).
 //
@@ -86,7 +86,7 @@ void onSignal(int) {
 int main(int argc, char **argv) {
   uint16_t Port = 7411;
   unsigned Threads = 2;
-  size_t CacheCap = 25000; // entries per store; 0 = unbounded
+  size_t CacheCap = 25000; // DFA store entries; 0 = unbounded
   size_t HighWater = 64;   // queue-depth admission mark; 0 = off
   bool Shed = true;        // deadline-aware shedding (0 = lazy expiry only)
   if (argc > 1)
@@ -110,20 +110,19 @@ int main(int argc, char **argv) {
 
   engine::EngineConfig EC;
   EC.Threads = Threads;
-  // A long-lived server must bound its memo growth: cap both cross-run
-  // stores, and weigh the DFA store by automaton size so a few huge DFAs
-  // cannot hold the whole entry budget's worth of memory.
+  // A long-lived server must bound its memo growth: cap the cross-run DFA
+  // store, and weigh it by automaton size so a few huge DFAs cannot hold
+  // the whole entry budget's worth of memory.
   EC.DfaCacheLimits.MaxEntries = CacheCap;
   EC.DfaCacheLimits.MaxCost =
       CacheCap ? CacheCap * 2 * (1 + regel::AlphabetSize) : 0;
-  EC.ApproxCacheLimits.MaxEntries = CacheCap;
   EC.MaxQueueDepth = HighWater;
   // Deadline-aware admission: clients that set an `sla` get an instant
   // "shed" verdict when the estimator says the budget is hopeless, and
   // queued jobs expire the moment their SLA lapses.
   EC.DeadlineShedding = Shed;
 
-  // One engine per backend, each with its own capped caches and
+  // One engine per backend, each with its own capped DFA store and
   // admission knobs; a single backend skips the router entirely.
   std::shared_ptr<service::SynthService> Svc;
   if (Backends == 1) {

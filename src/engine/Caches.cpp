@@ -15,13 +15,3 @@ void ShardedDfaStore::publish(const RegexPtr &R,
                               std::shared_ptr<const Dfa> D) {
   Lru.publish(R, std::move(D));
 }
-
-bool ShardedApproxStore::lookup(const SketchPtr &S, unsigned Depth,
-                                bool WithClasses, Approx &Out) {
-  return Lru.lookup({S, Depth, WithClasses}, Out);
-}
-
-void ShardedApproxStore::publish(const SketchPtr &S, unsigned Depth,
-                                 bool WithClasses, const Approx &A) {
-  Lru.publish({S, Depth, WithClasses}, A);
-}

@@ -1,30 +1,23 @@
-//===- engine/Caches.h - Sharded, bounded cross-run caches ------*- C++ -*-===//
+//===- engine/Caches.h - The engine's cross-run DFA store -------*- C++ -*-===//
 //
-// Part of the Regel reproduction. Thread-safe implementations of the two
-// cache seams the synthesis layers expose, each a thin adapter over one
-// ShardedLru (engine/ShardedLru.h):
+// Part of the Regel reproduction. The engine's one cross-run cache: a
+// thread-safe regex -> DFA store behind automata/Compile's DfaStore seam,
+// a thin adapter over ShardedLru (engine/ShardedLru.h). Every synthesis
+// run keeps its lock-free local DfaCache and falls through to the shared
+// store on a miss, so DFA determinization/minimization is paid once per
+// process per distinct regex instead of once per run. Its cost cap weighs
+// a DFA by its states + transitions, not its entry count, because
+// compiled automata vary in size by orders of magnitude.
 //
-//   * regex -> DFA (automata/Compile's DfaStore): every synthesis run keeps
-//     its lock-free local DfaCache and falls through to the shared store on
-//     a miss, so DFA determinization/minimization is paid once per process
-//     per distinct regex instead of once per run. Its cost cap weighs a
-//     DFA by its states + transitions, not its entry count, because
-//     compiled automata vary in size by orders of magnitude.
+// Nothing else is cached across runs. Sketch approximations and SMT
+// checks are recomputed per run: looking either up cost about as much as
+// computing it.
 //
-//   * (sketch, depth, widened) -> over/under approximation
-//     (synth/Approximate's SketchApproxStore): approximations are
-//     example-independent, so concurrent jobs over a corpus that reuses
-//     sketches share them outright.
-//
-// Constant inference's SMT checks are not cached: looking up a canonical
-// query cost about as much as the small bounded DFS it saved.
-//
-// Both are bounded (CacheLimits) with second-chance eviction, so a
+// The store is bounded (CacheLimits) with second-chance eviction, so a
 // serving process can stay up indefinitely without the memo growth that
-// otherwise accumulates one entry per distinct regex or sketch ever seen.
-// Eviction is transparent to correctness: every cached value is a
-// deterministic computation, so an evicted entry only costs its
-// recomputation.
+// otherwise accumulates one entry per distinct regex ever seen. Eviction
+// is transparent to correctness: compilation is deterministic, so an
+// evicted entry only costs its recompilation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +26,6 @@
 
 #include "automata/Compile.h"
 #include "engine/ShardedLru.h"
-#include "synth/Approximate.h"
 
 namespace regel::engine {
 
@@ -79,68 +71,20 @@ private:
       Lru;
 };
 
-/// A sharded, thread-safe, LRU-bounded (sketch, depth, widened) ->
-/// approximation memo.
-class ShardedApproxStore : public SketchApproxStore {
-public:
-  explicit ShardedApproxStore(unsigned NumShards = 16,
-                              CacheLimits Limits = {})
-      : Lru(NumShards, Limits) {}
-
-  bool lookup(const SketchPtr &S, unsigned Depth, bool WithClasses,
-              Approx &Out) override;
-  void publish(const SketchPtr &S, unsigned Depth, bool WithClasses,
-               const Approx &A) override;
-
-  size_t size() const { return Lru.size(); }
-  void clear() { Lru.clear(); }
-  const CacheLimits &limits() const { return Lru.limits(); }
-  uint64_t hits() const { return Lru.hits(); }
-  uint64_t misses() const { return Lru.misses(); }
-  uint64_t evictions() const { return Lru.evictions(); }
-
-  /// The combined key hash (exposed so tests can check shard balance).
-  /// Depth and the widened flag are folded through mix64 rather than
-  /// XORed in raw: consecutive depths must not perturb only the low bits
-  /// that pick the shard.
-  static size_t hashKey(const SketchPtr &S, unsigned Depth,
-                        bool WithClasses) {
-    uint64_t Fields =
-        (static_cast<uint64_t>(Depth) << 1) | (WithClasses ? 1u : 0u);
-    return static_cast<size_t>(
-        mix64(static_cast<uint64_t>(S->hash()) ^ mix64(Fields)));
-  }
-
-private:
-  struct Key {
-    SketchPtr S;
-    unsigned Depth;
-    bool WithClasses;
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      return hashKey(K.S, K.Depth, K.WithClasses);
-    }
-  };
-  struct KeyEq {
-    bool operator()(const Key &A, const Key &B) const {
-      return A.Depth == B.Depth && A.WithClasses == B.WithClasses &&
-             sketchEquals(A.S, B.S);
-    }
-  };
-
-  ShardedLru<Key, Approx, KeyHash, KeyEq> Lru;
-};
-
-/// The caches one engine (or several engines, when passed explicitly)
-/// share across all jobs.
+/// The cross-run cache one engine (or several engines, when passed
+/// explicitly) shares across all jobs.
 struct SharedCaches {
-  explicit SharedCaches(unsigned NumShards = 16, CacheLimits DfaLimits = {},
-                        CacheLimits ApproxLimits = {})
-      : Dfa(NumShards, DfaLimits), Approx(NumShards, ApproxLimits) {}
+  explicit SharedCaches(unsigned NumShards = 16, CacheLimits DfaLimits = {})
+      : Dfa(NumShards, DfaLimits) {}
 
   ShardedDfaStore Dfa;
-  ShardedApproxStore Approx;
+
+  struct ZeroCounters {
+    uint64_t hits() const { return 0; }
+    uint64_t misses() const { return 0; }
+  };
+  /// Always 0; kept only because the perfbench harness reads it.
+  ZeroCounters Approx;
 };
 
 } // namespace regel::engine

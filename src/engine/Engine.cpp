@@ -27,8 +27,7 @@ Engine::Engine(EngineConfig C)
       Clk(Cfg.TimeSource ? Cfg.TimeSource : Clock::steady()),
       Caches(Cfg.Caches ? Cfg.Caches
                         : std::make_shared<SharedCaches>(
-                              Cfg.CacheShards, Cfg.DfaCacheLimits,
-                              Cfg.ApproxCacheLimits)),
+                              Cfg.CacheShards, Cfg.DfaCacheLimits)),
       Reg(std::make_shared<obs::Registry>()),
       Tracing(std::make_shared<obs::Tracer>(Cfg.Trace)),
       Pool(Cfg.Threads, Cfg.FifoScheduling) {
@@ -377,7 +376,6 @@ void Engine::runSketchTask(const JobPtr &J, unsigned Rank) {
     SynthConfig SC = Req.Synth;
     SC.TopK = Req.TopK;
     SC.SharedDfa = &Caches->Dfa;
-    SC.SharedApprox = &Caches->Approx;
     // Deterministic jobs must not stop mid-search because a sibling
     // succeeded; they still honour client cancel() and the job deadline
     // through the same flag (set above on deadline expiry).
@@ -566,10 +564,6 @@ StatsSnapshot Engine::snapshot() const {
   S.DfaStoreSize = Caches->Dfa.size();
   S.DfaStoreCost = Caches->Dfa.costUnits();
   S.DfaStoreEvictions = Caches->Dfa.evictions();
-  S.ApproxStoreHits = Caches->Approx.hits();
-  S.ApproxStoreMisses = Caches->Approx.misses();
-  S.ApproxStoreSize = Caches->Approx.size();
-  S.ApproxStoreEvictions = Caches->Approx.evictions();
   const ServiceTimeEstimator::Snapshot E = Estimator.snapshot();
   S.EstimatorInteractiveMs =
       E.EstMs[static_cast<unsigned>(Priority::Interactive)];
@@ -679,10 +673,6 @@ void Engine::mirrorSnapshot() const {
   R.counter("regel_dfa_store_hits_total").set(S.DfaStoreHits);
   R.counter("regel_dfa_store_misses_total").set(S.DfaStoreMisses);
   R.counter("regel_dfa_store_evictions_total").set(S.DfaStoreEvictions);
-  R.counter("regel_approx_store_hits_total").set(S.ApproxStoreHits);
-  R.counter("regel_approx_store_misses_total").set(S.ApproxStoreMisses);
-  R.counter("regel_approx_store_evictions_total")
-      .set(S.ApproxStoreEvictions);
   R.gauge("regel_queue_depth_jobs")
       .set(static_cast<int64_t>(queueDepth()));
   R.gauge("regel_completions_pending")
@@ -693,8 +683,6 @@ void Engine::mirrorSnapshot() const {
       .set(static_cast<int64_t>(S.DfaStoreSize));
   R.gauge("regel_dfa_store_cost_units")
       .set(static_cast<int64_t>(S.DfaStoreCost));
-  R.gauge("regel_approx_store_size_entries")
-      .set(static_cast<int64_t>(S.ApproxStoreSize));
   // Estimator state in integer us (-1 = cold). A federated SUM of these
   // gauges is meaningless — readers must consume them per backend.
   auto EstUs = [](double Ms) {

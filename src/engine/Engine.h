@@ -5,20 +5,19 @@
 // tenant) accepts many concurrent synthesis jobs, fans each out into one
 // task per sketch on a shared priority-aware work-stealing pool, cancels
 // sibling tasks as soon as a job has its TopK answers, enforces per-job
-// deadlines, and shares the regex->DFA and sketch-approximation caches
-// across every run. Admission is deadline-aware: a per-class EWMA of
-// service time sheds submissions whose residency SLA cannot be met
-// (ShedOnArrival), and a deadline min-heap expires queued jobs eagerly
-// the moment their SLA lapses instead of when a worker finally reaches
-// them. All semantic time flows through the Clock seam (EngineConfig::
-// TimeSource), so every budget, SLA, and timed wait is testable to the
-// millisecond under a ManualClock. Completion is async-first: jobs notify
-// through
-// onComplete continuations and (opt-in) the engine's completion queue, so
-// a single-threaded event loop — the socket server in src/server — can
-// drive thousands of in-flight jobs without blocking a thread per job.
-// core/Regel is a thin client of this class; servers and benches can
-// drive it directly through the batch API.
+// deadlines, and shares one regex->DFA store (engine/Caches.h) across
+// every run; nothing else crosses runs. Admission is deadline-aware: a
+// per-class EWMA of service time sheds submissions whose residency SLA
+// cannot be met (ShedOnArrival), and a deadline min-heap expires queued
+// jobs eagerly the moment their SLA lapses instead of when a worker
+// finally reaches them. All semantic time flows through the Clock seam
+// (EngineConfig::TimeSource), so every budget, SLA, and timed wait is
+// testable to the millisecond under a ManualClock. Completion is
+// async-first: jobs notify through onComplete continuations and (opt-in)
+// the engine's completion queue, so a single-threaded event loop — the
+// socket server in src/server — can drive thousands of in-flight jobs
+// without blocking a thread per job. core/Regel is a thin client of this
+// class; servers and benches can drive it directly through the batch API.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,18 +51,19 @@ struct EngineConfig {
   /// admission, shedding, eager expiry — under a ManualClock.
   unsigned Threads = 2;
 
-  /// Shards per cross-run cache (locks scale with this).
+  /// Shards of the cross-run DFA store (locks scale with this).
   unsigned CacheShards = 16;
 
-  /// Cross-run caches to use. When null the engine creates its own;
+  /// Cross-run cache to use. When null the engine creates its own;
   /// passing one lets several engines (or engine generations across
-  /// restarts of a config) share warmed caches.
+  /// restarts of a config) share a warmed DFA store.
   std::shared_ptr<SharedCaches> Caches;
 
-  /// Size caps for the self-created caches (ignored when Caches is passed
-  /// in — the owner of a shared cache decides its limits). Zero fields
-  /// mean unbounded; see CacheLimits.
+  /// Size caps for the self-created DFA store (ignored when Caches is
+  /// passed in — the owner of a shared cache decides its limits). Zero
+  /// fields mean unbounded; see CacheLimits.
   CacheLimits DfaCacheLimits;
+  /// Ignored; kept only because the perfbench harness still sets it.
   CacheLimits ApproxCacheLimits;
 
   /// Admission control high-water mark (0 = off): a submission arriving

@@ -1,10 +1,10 @@
 //===- engine/ShardedLru.h - Sharded, bounded second-chance LRU -*- C++ -*-===//
 //
-// Part of the Regel reproduction. The one cache primitive behind every
-// cross-run store in engine/Caches.h: a thread-safe map from K to V split
-// into independently locked shards, each bounded by an entry cap and a
-// cost cap (CacheLimits) and evicting from the cold end of its recency
-// list.
+// Part of the Regel reproduction. The cache primitive behind the engine's
+// cross-run regex -> DFA store (engine/Caches.h): a thread-safe map from K
+// to V split into independently locked shards, each bounded by an entry
+// cap and a cost cap (CacheLimits) and evicting from the cold end of its
+// recency list.
 //
 // Sharding bounds lock contention: keys hash to one of N shards, so
 // workers rarely collide on a mutex. Hash picks the shard
@@ -20,7 +20,7 @@
 // duplicate publish (a second run needed the entry) both count as a
 // reference.
 //
-// Every store built on this caches a deterministic computation, so
+// A store built on this must cache a deterministic computation, so that
 // eviction never changes an answer: a re-looked-up evicted entry is just
 // recomputed.
 //
@@ -50,10 +50,9 @@ struct CacheLimits {
   /// Maximum entries across all shards.
   size_t MaxEntries = 0;
 
-  /// Maximum summed entry cost across all shards. The DFA store measures
-  /// cost in automaton size (states + transitions, see
-  /// ShardedDfaStore::dfaCost); the other stores count 1 per entry, so
-  /// for them this is a second entry cap.
+  /// Maximum summed entry cost across all shards, in the units of the
+  /// store's cost functor (for the DFA store, automaton states +
+  /// transitions; see ShardedDfaStore::dfaCost).
   uint64_t MaxCost = 0;
 };
 
@@ -66,15 +65,9 @@ inline uint64_t mix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
-/// Cost functor for stores whose entries all weigh the same.
-struct UnitCost {
-  template <typename V> uint64_t operator()(const V &) const { return 1; }
-};
-
 /// A sharded, thread-safe, second-chance-LRU-bounded map from K to V.
 /// CostFn(V) weighs an entry against CacheLimits::MaxCost.
-template <typename K, typename V, typename Hash, typename Eq,
-          typename CostFn = UnitCost>
+template <typename K, typename V, typename Hash, typename Eq, typename CostFn>
 class ShardedLru {
 public:
   explicit ShardedLru(unsigned NumShards = 16, CacheLimits L = {})

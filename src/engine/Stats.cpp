@@ -27,8 +27,6 @@ std::string StatsSnapshot::toJson() const {
       "\"dfa_compiles\":%llu,\"total_ms\":%.1f},"
       "\"dfa_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
       "\"cost\":%llu,\"evictions\":%llu},"
-      "\"approx_store\":{\"hits\":%llu,\"misses\":%llu,\"size\":%llu,"
-      "\"evictions\":%llu},"
       "\"estimator\":{\"interactive_ms\":%.2f,\"batch_ms\":%.2f,"
       "\"background_ms\":%.2f,\"blended_ms\":%.2f,"
       "\"samples_interactive\":%llu,\"samples_batch\":%llu,"
@@ -56,10 +54,6 @@ std::string StatsSnapshot::toJson() const {
       (unsigned long long)DfaStoreHits, (unsigned long long)DfaStoreMisses,
       (unsigned long long)DfaStoreSize, (unsigned long long)DfaStoreCost,
       (unsigned long long)DfaStoreEvictions,
-      (unsigned long long)ApproxStoreHits,
-      (unsigned long long)ApproxStoreMisses,
-      (unsigned long long)ApproxStoreSize,
-      (unsigned long long)ApproxStoreEvictions,
       EstimatorInteractiveMs, EstimatorBatchMs, EstimatorBackgroundMs,
       EstimatorBlendedMs,
       (unsigned long long)EstimatorSamplesInteractive,
@@ -103,10 +97,6 @@ void StatsSnapshot::merge(const StatsSnapshot &O) {
   DfaStoreSize += O.DfaStoreSize;
   DfaStoreCost += O.DfaStoreCost;
   DfaStoreEvictions += O.DfaStoreEvictions;
-  ApproxStoreHits += O.ApproxStoreHits;
-  ApproxStoreMisses += O.ApproxStoreMisses;
-  ApproxStoreSize += O.ApproxStoreSize;
-  ApproxStoreEvictions += O.ApproxStoreEvictions;
 
   // Estimator EWMAs combine sample-weighted; a cold side (negative
   // estimate / zero samples) contributes nothing, so one warm shard's

@@ -92,16 +92,12 @@ struct StatsSnapshot {
                    : 0.0;
   }
 
-  // Cross-run caches.
+  // The cross-run DFA store.
   uint64_t DfaStoreHits = 0;
   uint64_t DfaStoreMisses = 0;
   uint64_t DfaStoreSize = 0;
   uint64_t DfaStoreCost = 0; ///< summed DFA cost units (states+transitions)
   uint64_t DfaStoreEvictions = 0;
-  uint64_t ApproxStoreHits = 0;
-  uint64_t ApproxStoreMisses = 0;
-  uint64_t ApproxStoreSize = 0;
-  uint64_t ApproxStoreEvictions = 0;
 
   // Service-time estimator state (EWMA exec ms per class; negative =
   // cold, no samples yet). What deadline-aware shedding decides on.

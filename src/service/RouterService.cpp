@@ -35,9 +35,8 @@ RouterService::RouterService(
 }
 
 uint64_t RouterService::affinityKey(const engine::JobRequest &R) {
-  // Fold the structural sketch hashes (the same hash the approximation
-  // store keys on) through mix64 so the shard choice depends on every
-  // bit. Order-sensitive fold: sketch lists are ranked, and two ranked
+  // Fold the structural sketch hashes through mix64 so the shard choice
+  // depends on every bit. Order-sensitive fold: sketch lists are ranked, and two ranked
   // lists are the same workload only in the same order.
   uint64_t Key = 0x9e3779b97f4a7c15ull;
   for (const SketchPtr &S : R.Sketches)

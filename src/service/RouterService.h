@@ -9,13 +9,12 @@
 // Routing policy, in order:
 //
 //   * Cache-key affinity: a job's sketches hash to a stable affinity key
-//     (mix64-folded Sketch::hash, the same structural hash the sketch
-//     approximation store keys on), and key % N picks the home shard.
-//     The regex->DFA and approximation traffic a sketch generates is a
-//     function of the sketch, so pinning a given regex/sketch to one
-//     shard keeps its compiled DFAs hot in THAT shard's store instead of
-//     duplicating them across every backend — the property that lets N
-//     small caches behave like one big one.
+//     (mix64-folded structural Sketch::hash), and key % N picks the home
+//     shard. The regex->DFA traffic a sketch generates is a function of
+//     the sketch, so pinning a given regex/sketch to one shard keeps its
+//     compiled DFAs hot in THAT shard's store instead of duplicating them
+//     across every backend — the property that lets N small caches behave
+//     like one big one.
 //
 //   * Least-estimated-wait spillover: affinity must not pin work to a
 //     drowning shard. Each backend's health() exposes EstWaitMs (queue

@@ -95,10 +95,8 @@ RegexPtr mkOp(RegexKind K, std::vector<RegexPtr> Kids,
 
 } // namespace
 
-namespace {
-
-Approx approximateSketchUncached(const SketchPtr &S, unsigned Depth,
-                                 bool WithClasses, SketchApproxStore *Memo) {
+Approx regel::approximateSketch(const SketchPtr &S, unsigned Depth,
+                                bool WithClasses) {
   switch (S->getKind()) {
   case SketchKind::Concrete:
     // Rule (7): a concrete regex approximates itself.
@@ -107,7 +105,7 @@ Approx approximateSketchUncached(const SketchPtr &S, unsigned Depth,
   case SketchKind::Op: {
     RegexKind K = S->getOp();
     if (isRepeatFamily(K)) {
-      Approx A = approximateSketch(S->children()[0], Depth, false, Memo);
+      Approx A = approximateSketch(S->children()[0], Depth, false);
       if (!S->ints().empty()) {
         // Concrete integers: rule (4) of Fig. 11 applies precisely.
         std::vector<int> Ints = S->ints();
@@ -118,13 +116,13 @@ Approx approximateSketchUncached(const SketchPtr &S, unsigned Depth,
     }
     if (K == RegexKind::Not) {
       // Rule (5): negation swaps the approximations.
-      Approx A = approximateSketch(S->children()[0], Depth, false, Memo);
+      Approx A = approximateSketch(S->children()[0], Depth, false);
       return {mkOp(RegexKind::Not, {A.Under}), mkOp(RegexKind::Not, {A.Over})};
     }
     // Rule (4): apply the operator componentwise.
     std::vector<RegexPtr> Overs, Unders;
     for (const SketchPtr &C : S->children()) {
-      Approx A = approximateSketch(C, Depth, false, Memo);
+      Approx A = approximateSketch(C, Depth, false);
       Overs.push_back(A.Over);
       Unders.push_back(A.Under);
     }
@@ -142,7 +140,7 @@ Approx approximateSketchUncached(const SketchPtr &S, unsigned Depth,
     RegexPtr Under;
     bool First = true;
     for (const SketchPtr &C : S->components()) {
-      Approx A = approximateSketch(C, Depth, false, Memo);
+      Approx A = approximateSketch(C, Depth, false);
       Over = mkOp(RegexKind::Or, {Over, A.Over});
       Under = First ? A.Under : mkOp(RegexKind::And, {Under, A.Under});
       First = false;
@@ -163,23 +161,7 @@ Approx approximateSketchUncached(const SketchPtr &S, unsigned Depth,
   return {topRegex(), botRegex()};
 }
 
-} // namespace
-
-Approx regel::approximateSketch(const SketchPtr &S, unsigned Depth,
-                                bool WithClasses, SketchApproxStore *Memo) {
-  // Concrete leaves are trivial; consulting the store for them would only
-  // bloat it.
-  if (!Memo || S->getKind() == SketchKind::Concrete)
-    return approximateSketchUncached(S, Depth, WithClasses, Memo);
-  Approx A;
-  if (Memo->lookup(S, Depth, WithClasses, A))
-    return A;
-  A = approximateSketchUncached(S, Depth, WithClasses, Memo);
-  Memo->publish(S, Depth, WithClasses, A);
-  return A;
-}
-
-Approx regel::approximatePartial(const PNodePtr &N, SketchApproxStore *Memo) {
+Approx regel::approximatePartial(const PNodePtr &N) {
   switch (N->getKind()) {
   case PLabelKind::LeafLabel:
     return {N->leaf(), N->leaf()};
@@ -187,12 +169,12 @@ Approx regel::approximatePartial(const PNodePtr &N, SketchApproxStore *Memo) {
   case PLabelKind::SketchLabel:
     // Rule (1) of Fig. 11 defers to the sketch judgement.
     return approximateSketch(N->sketch(), N->sketchDepth(),
-                             N->sketchWithClasses(), Memo);
+                             N->sketchWithClasses());
 
   case PLabelKind::OpLabel: {
     RegexKind K = N->op();
     if (isRepeatFamily(K)) {
-      Approx A = approximatePartial(N->children()[0], Memo);
+      Approx A = approximatePartial(N->children()[0]);
       // Rule (4) vs rule (5): precise when all integer slots are assigned.
       bool AllConcrete = true;
       std::vector<int> Ints;
@@ -210,12 +192,12 @@ Approx regel::approximatePartial(const PNodePtr &N, SketchApproxStore *Memo) {
       return {mkOp(RegexKind::RepeatAtLeast, {A.Over}, {1}), botRegex()};
     }
     if (K == RegexKind::Not) {
-      Approx A = approximatePartial(N->children()[0], Memo);
+      Approx A = approximatePartial(N->children()[0]);
       return {mkOp(RegexKind::Not, {A.Under}), mkOp(RegexKind::Not, {A.Over})};
     }
     std::vector<RegexPtr> Overs, Unders;
     for (unsigned I = 0; I < numRegexArgs(K); ++I) {
-      Approx A = approximatePartial(N->children()[I], Memo);
+      Approx A = approximatePartial(N->children()[I]);
       Overs.push_back(A.Over);
       Unders.push_back(A.Under);
     }
@@ -266,7 +248,7 @@ bool FeasibilityChecker::underRejectsAllNeg(const RegexPtr &Under) {
 
 bool FeasibilityChecker::infeasible(const PartialRegex &P) {
   ++Checks;
-  Approx A = approximatePartial(P.root(), Memo);
+  Approx A = approximatePartial(P.root());
   // The over-approximation must accept every positive example.
   if (!isTop(A.Over) && !E.Pos.empty() && !overAcceptsAllPos(A.Over))
     return true;

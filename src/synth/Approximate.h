@@ -7,6 +7,12 @@
 // A partial regex is infeasible (and can be pruned) when o rejects a
 // positive example or u accepts a negative example.
 //
+// Both approximations are plain structural recursions, recomputed on
+// every feasibility check: consulting a store keyed on the sketch (lock,
+// structural hash, deep equality) costs about as much as the recursion.
+// What a run does memoize is the verdict of matching an approximation
+// regex against the examples (FeasibilityChecker).
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef REGEL_SYNTH_APPROXIMATE_H
@@ -29,33 +35,13 @@ RegexPtr topRegex();
 /// Bottom element: the empty language.
 RegexPtr botRegex();
 
-/// Memo a sketch approximation may consult: (sketch, depth, widened) is
-/// example-independent, so its approximation can be shared across synthesis
-/// runs, jobs, and threads. Implementations must be thread-safe (the
-/// concurrent engine provides a sharded one, see engine/Caches.h).
-class SketchApproxStore {
-public:
-  virtual ~SketchApproxStore() = default;
-
-  /// Returns true and fills \p Out when a stored approximation exists.
-  virtual bool lookup(const SketchPtr &S, unsigned Depth, bool WithClasses,
-                      Approx &Out) = 0;
-
-  /// Offers a freshly computed approximation to the store.
-  virtual void publish(const SketchPtr &S, unsigned Depth, bool WithClasses,
-                       const Approx &A) = 0;
-};
-
 /// Approximates an h-sketch under depth budget \p Depth (Fig. 12);
 /// \p WithClasses marks the widened hole variant (its under-approximation
-/// collapses to bottom). With \p Memo set, every sketch node consulted
-/// during the recursion is served from / published to the store.
-Approx approximateSketch(const SketchPtr &S, unsigned Depth, bool WithClasses,
-                         SketchApproxStore *Memo = nullptr);
+/// collapses to bottom).
+Approx approximateSketch(const SketchPtr &S, unsigned Depth, bool WithClasses);
 
 /// Approximates a partial regex (Fig. 11).
-Approx approximatePartial(const PNodePtr &N,
-                          SketchApproxStore *Memo = nullptr);
+Approx approximatePartial(const PNodePtr &N);
 
 /// The Infeasible check of Fig. 9 line 13 with verdict memoization:
 /// returns true when the approximations prove a partial regex cannot be
@@ -66,9 +52,6 @@ Approx approximatePartial(const PNodePtr &N,
 class FeasibilityChecker {
 public:
   explicit FeasibilityChecker(const Examples &E) : E(E) {}
-
-  /// Attaches a cross-run sketch-approximation memo (may be nullptr).
-  void setApproxMemo(SketchApproxStore *M) { Memo = M; }
 
   /// Routes membership queries for the (heavily repeated) approximation
   /// regexes through \p C instead of the direct matcher; with a shared
@@ -85,7 +68,6 @@ private:
   bool underRejectsAllNeg(const RegexPtr &Under);
 
   const Examples &E;
-  SketchApproxStore *Memo = nullptr;
   DfaCache *Cache = nullptr;
   std::unordered_map<size_t, bool> OverVerdict;
   std::unordered_map<size_t, bool> UnderVerdict;

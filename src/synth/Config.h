@@ -6,6 +6,11 @@
 //   UseApprox=true,  UseSymbolic=false   -> Regel-Approx
 //   UseApprox=true,  UseSymbolic=true    -> Regel (full)
 //
+// A config also carries the run's borrowed hooks into its host: the
+// cancellation flag, the clock, the instrumentation probe and SharedDfa,
+// the one cache a run shares with other runs. Everything else a run
+// memoizes lives and dies with the run.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef REGEL_SYNTH_CONFIG_H
@@ -21,7 +26,6 @@ namespace regel {
 
 class Clock;
 class DfaStore;
-class SketchApproxStore;
 
 namespace obs {
 struct SynthProbe;
@@ -90,11 +94,6 @@ struct SynthConfig {
   /// stored DFA can be evicted between lookups, in which case the run just
   /// recompiles it — correctness never depends on an entry staying put.
   DfaStore *SharedDfa = nullptr;
-
-  /// Cross-run sketch-approximation memo (thread-safe, owned by the
-  /// engine; nullptr = recompute per run). Like SharedDfa, the memo may
-  /// evict: a missing approximation is recomputed, deterministically.
-  SketchApproxStore *SharedApprox = nullptr;
 
   /// Instrumentation sinks (owned by the engine, outliving the run like
   /// TimeSource; nullptr = no instrumentation): DFA-compile and SMT-

@@ -19,14 +19,11 @@ namespace regel {
 
 /// Counters reported by inferConstants.
 ///
-/// The old single `SolveCalls` figure conflated two very different
-/// operations; it is now split so the numbers mean what they say:
+/// Constant inference runs two very different operations, counted apart:
 ///   IntervalEvals — three-valued interval sweeps over the constraint
 ///                   set (microseconds each, one per enumeration node);
 ///   SmtSolves     — DFS model searches executed by the bounded
 ///                   solver (the expensive operation).
-/// solveCalls() keeps the legacy sum for one release; see
-/// docs/OBSERVABILITY.md for the deprecation schedule.
 struct InferStats {
   uint64_t IntervalEvals = 0;
   uint64_t SmtSolves = 0;
@@ -38,10 +35,6 @@ struct InferStats {
   uint64_t Iterations = 0;
   uint64_t PrunedPartialAssignments = 0;
   bool HitIterationCap = false;
-
-  /// DEPRECATED: the pre-split aggregate (interval evals + solves).
-  /// Remove after one release; read the split fields instead.
-  uint64_t solveCalls() const { return IntervalEvals + SmtSolves; }
 };
 
 /// Returns every concrete instantiation of \p P0's symbolic integers that

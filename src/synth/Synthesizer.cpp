@@ -133,7 +133,6 @@ SynthResult Synthesizer::run(const SketchPtr &S, const Examples &E) {
       Cfg.Probe && Cfg.Probe->Clk &&
       (Cfg.Probe->SmtInferUs || Cfg.Probe->Trace);
   FeasibilityChecker Checker(E);
-  Checker.setApproxMemo(Cfg.SharedApprox);
   if (Cfg.SharedDfa) {
     // With a cross-run DFA store attached, feasibility checks route their
     // membership queries through the cache so approximation DFAs (heavily

@@ -3,11 +3,9 @@
 #include "engine/Caches.h"
 
 #include "regex/Parser.h"
-#include "sketch/SketchParser.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -47,50 +45,6 @@ TEST(ShardedDfaStore, LocalCachesShareCompilations) {
   EXPECT_TRUE(B.matches(R, "7"));
   EXPECT_EQ(B.sharedHits(), 1u); // B got A's compilation
   EXPECT_EQ(Store.size(), 1u);
-}
-
-TEST(ShardedApproxStore, RoundTripsByStructuralKey) {
-  ShardedApproxStore Store(4);
-  SketchPtr S = parseSketch("hole{Repeat(<num>,2)}");
-  Approx Out;
-  EXPECT_FALSE(Store.lookup(S, 1, false, Out));
-
-  Approx A = approximateSketch(S, 1, false);
-  Store.publish(S, 1, false, A);
-
-  // Distinct sketch object, same structure: hit. Different depth or
-  // widened flag: miss.
-  SketchPtr S2 = parseSketch("hole{Repeat(<num>,2)}");
-  EXPECT_TRUE(Store.lookup(S2, 1, false, Out));
-  EXPECT_TRUE(regexEquals(Out.Over, A.Over));
-  EXPECT_TRUE(regexEquals(Out.Under, A.Under));
-  EXPECT_FALSE(Store.lookup(S2, 2, false, Out));
-  EXPECT_FALSE(Store.lookup(S2, 1, true, Out));
-}
-
-TEST(ShardedApproxStore, MemoizedApproximationMatchesUncached) {
-  ShardedApproxStore Store(4);
-  std::vector<const char *> Sketches = {
-      "hole{Repeat(<num>,2)}",
-      "Concat(hole{<cap>},hole{RepeatAtLeast(<num>,1)})",
-      "Not(hole{<num>})",
-      "hole{Concat(<a>,<b>),Or(<num>,<let>)}",
-  };
-  for (const char *Text : Sketches) {
-    SketchPtr S = parseSketch(Text);
-    ASSERT_TRUE(S) << Text;
-    for (unsigned Depth = 1; Depth <= 3; ++Depth) {
-      Approx Plain = approximateSketch(S, Depth, false);
-      Approx Memoed = approximateSketch(S, Depth, false, &Store);
-      EXPECT_TRUE(regexEquals(Plain.Over, Memoed.Over)) << Text;
-      EXPECT_TRUE(regexEquals(Plain.Under, Memoed.Under)) << Text;
-      // Second call must be served from the store and agree.
-      uint64_t HitsBefore = Store.hits();
-      Approx Again = approximateSketch(S, Depth, false, &Store);
-      EXPECT_GT(Store.hits(), HitsBefore);
-      EXPECT_TRUE(regexEquals(Again.Over, Plain.Over)) << Text;
-    }
-  }
 }
 
 TEST(ShardedDfaStore, CostTriggerEvictsByAutomatonSize) {
@@ -143,63 +97,6 @@ TEST(ShardedDfaStore, EvictedEntryRecompilesIdentically) {
   std::shared_ptr<const Dfa> Recompiled = Store.lookup(R);
   ASSERT_NE(Recompiled, nullptr);
   EXPECT_TRUE(Dfa::equivalent(Reference, *Recompiled));
-}
-
-TEST(ShardedApproxStore, MaxCostCountsEntries) {
-  // Approximations weigh 1 each, so the cost cap caps the entry count.
-  ShardedApproxStore Store(1, CacheLimits{/*MaxEntries=*/0, /*MaxCost=*/2});
-  SketchPtr S = parseSketch("hole{Repeat(<num>,2)}");
-  for (unsigned Depth = 1; Depth <= 5; ++Depth)
-    Store.publish(S, Depth, false, approximateSketch(S, Depth, false));
-  EXPECT_EQ(Store.size(), 2u);
-  EXPECT_EQ(Store.evictions(), 3u);
-  Approx Out;
-  EXPECT_FALSE(Store.lookup(S, 1, false, Out)); // evicted
-  EXPECT_TRUE(Store.lookup(S, 4, false, Out));  // still resident
-  EXPECT_TRUE(Store.lookup(S, 5, false, Out));
-}
-
-TEST(ShardedApproxStore, KeyHashSpreadsConsecutiveDepthsAcrossShards) {
-  // The old hash XORed (Depth << 1) straight into the sketch hash, so the
-  // 16-way shard pick (low 4 bits) saw at most 8 distinct values over any
-  // run of consecutive depths — half the shards could never be used by a
-  // depth sweep of one sketch. The mixed hash must not have that ceiling.
-  const size_t NumShards = 16;
-  SketchPtr S = parseSketch("hole{Repeat(<num>,2)}");
-  std::vector<unsigned> Load(NumShards, 0);
-  unsigned Distinct = 0;
-  for (unsigned Depth = 0; Depth < 16; ++Depth)
-    for (bool WithClasses : {false, true}) {
-      size_t Shard =
-          ShardedApproxStore::hashKey(S, Depth, WithClasses) % NumShards;
-      if (Load[Shard]++ == 0)
-        ++Distinct;
-    }
-  EXPECT_GT(Distinct, 8u) << "depth sweep stuck on a subset of shards";
-  for (size_t I = 0; I < NumShards; ++I)
-    EXPECT_LE(Load[I], 8u) << "shard " << I << " absorbed most keys";
-
-  // And across several sketches the spread must cover nearly everything.
-  std::vector<const char *> Sketches = {
-      "hole{Repeat(<num>,2)}",
-      "Concat(hole{<cap>},hole{RepeatAtLeast(<num>,1)})",
-      "Not(hole{<num>})",
-      "hole{Concat(<a>,<b>),Or(<num>,<let>)}",
-  };
-  std::fill(Load.begin(), Load.end(), 0u);
-  Distinct = 0;
-  for (const char *Text : Sketches) {
-    SketchPtr Sk = parseSketch(Text);
-    ASSERT_TRUE(Sk) << Text;
-    for (unsigned Depth = 0; Depth < 8; ++Depth)
-      for (bool WithClasses : {false, true}) {
-        size_t Shard =
-            ShardedApproxStore::hashKey(Sk, Depth, WithClasses) % NumShards;
-        if (Load[Shard]++ == 0)
-          ++Distinct;
-      }
-  }
-  EXPECT_GE(Distinct, 12u);
 }
 
 TEST(ShardedDfaStore, ConcurrentPublishersConverge) {

@@ -137,8 +137,8 @@ TEST(EngineDeterminism, RepeatedRunsAreStable) {
     A.push_back(deterministicRequest(T));
     B.push_back(deterministicRequest(T));
   }
-  // Second round runs against warm cross-run caches; answers must not
-  // change (cache transparency).
+  // Second round runs against a warm cross-run DFA store; answers must
+  // not change (cache transparency).
   std::vector<JobResult> R1 = Eng.runBatch(std::move(A));
   std::vector<JobResult> R2 = Eng.runBatch(std::move(B));
   ASSERT_EQ(R1.size(), R2.size());
@@ -149,8 +149,8 @@ TEST(EngineDeterminism, RepeatedRunsAreStable) {
           regexEquals(R1[I].Answers[J].Regex, R2[I].Answers[J].Regex));
   }
   StatsSnapshot S = Eng.snapshot();
-  EXPECT_GT(S.ApproxStoreHits + S.DfaStoreHits, 0u)
-      << "second round should hit the cross-run caches";
+  EXPECT_GT(S.DfaStoreHits, 0u)
+      << "second round should hit the cross-run DFA store";
 }
 
 TEST(EngineStats, CounterPartitionsReconcileWithStores) {
@@ -322,9 +322,9 @@ TEST(EngineStress, ManyConcurrentJobsFromManyClients) {
   EXPECT_EQ(S.TasksRun + S.TasksSkipped,
             static_cast<uint64_t>(Clients * JobsPerClient * 2));
   EXPECT_LE(S.TasksStopped, S.TasksRun);
-  // The same two sketches repeat across every job, so the approximation
-  // memo must be doing real sharing by the end.
-  EXPECT_GT(S.ApproxStoreHits, 0u);
+  // The same two sketches repeat across every job, so the DFA store must
+  // be doing real sharing by the end.
+  EXPECT_GT(S.DfaStoreHits, 0u);
 }
 
 TEST(EngineEviction, TinyCacheCapsLeaveDeterministicResultsUnchanged) {
@@ -334,7 +334,6 @@ TEST(EngineEviction, TinyCacheCapsLeaveDeterministicResultsUnchanged) {
   EngineConfig Unbounded{2, 4, nullptr, {}, {}, 0};
   EngineConfig Tiny{2, 4, nullptr, {}, {}, 0};
   Tiny.DfaCacheLimits.MaxEntries = 8; // pathologically small: constant churn
-  Tiny.ApproxCacheLimits.MaxEntries = 8;
   Engine EngU(Unbounded), EngT(Tiny);
 
   std::vector<JobRequest> A, B;
@@ -353,10 +352,9 @@ TEST(EngineEviction, TinyCacheCapsLeaveDeterministicResultsUnchanged) {
   }
   StatsSnapshot S = EngT.snapshot();
   EXPECT_LE(S.DfaStoreSize, 8u);
-  EXPECT_LE(S.ApproxStoreSize, 8u);
   // With six multi-sketch jobs against an 8-entry cap, eviction must have
   // actually happened for the equality above to mean anything.
-  EXPECT_GT(S.DfaStoreEvictions + S.ApproxStoreEvictions, 0u);
+  EXPECT_GT(S.DfaStoreEvictions, 0u);
 }
 
 TEST(EngineAdmission, RejectsAtHighWaterMark) {

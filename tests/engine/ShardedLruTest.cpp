@@ -217,17 +217,3 @@ TYPED_TEST(ShardedLruTest, ConcurrentPublishersHoldTheCaps) {
   EXPECT_GT(L.evictions(), 0u);
   EXPECT_EQ(L.hits() + L.misses(), 4 * Keys);
 }
-
-TEST(ShardedLru, UnitCostMakesMaxCostAnEntryCap) {
-  using Lru = ShardedLru<uint64_t, uint64_t, IdentityHash,
-                         std::equal_to<uint64_t>>;
-  // The tighter of the two caps wins, whichever it is.
-  for (CacheLimits Limits : {CacheLimits{0, 4}, CacheLimits{8, 4},
-                             CacheLimits{4, 8}}) {
-    Lru L(2, Limits);
-    for (uint64_t I = 0; I < 10; ++I)
-      L.publish(I, 100 + I);
-    EXPECT_EQ(L.size(), 4u);
-    EXPECT_EQ(L.costUnits(), 4u);
-  }
-}

@@ -15,7 +15,12 @@
 //      and the per-result tallies match the engine counters one for one.
 //
 // The submission schedule is fixed by the seed; assertions are invariants
-// rather than golden outputs, so worker/pump interleaving cannot flake.
+// rather than golden outputs. A worker only sees virtual time at its
+// per-pop budget checks, so the pump sleeps a real millisecond per tick:
+// a free-spinning pump advanced ~20 virtual ms every few microseconds, and
+// one slow pop or one descheduling of a worker turned into seconds of
+// virtual overshoot. Paced, a stall of up to ~15 real ms stays within the
+// slop, while a missing clamp still overshoots by ~2000 ms.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -102,7 +108,7 @@ TEST(ShedStress, InvariantsHoldUnderRandomMixedLoad) {
 
     MC->advanceMs(static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(MaxTickMs) + 1)));
     (void)Eng.pollCompleted(); // sweep + drain; routing is not under test
-    std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   // Drain: pump virtual time until every job has a verdict.
@@ -110,7 +116,7 @@ TEST(ShedStress, InvariantsHoldUnderRandomMixedLoad) {
   for (size_t Done = 0; Done < Jobs.size() && RealCap.elapsedMs() < 60000;) {
     MC->advanceMs(20);
     (void)Eng.pollCompleted();
-    std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     Done = 0;
     for (const Submitted &S : Jobs)
       if (S.J->done())

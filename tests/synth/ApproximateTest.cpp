@@ -135,6 +135,27 @@ TEST(Approximate, SoundnessOnDepthOneHole) {
   }
 }
 
+// Approximations depend only on a sketch's structure: two separately
+// parsed but structurally equal sketches approximate identically at every
+// depth.
+TEST(Approximate, StructurallyEqualSketchesApproximateEqually) {
+  for (const char *Text : {"hole{Repeat(<num>,2)}",
+                           "Concat(hole{<cap>},hole{RepeatAtLeast(<num>,1)})",
+                           "Not(hole{<num>})",
+                           "hole{Concat(<a>,<b>),Or(<num>,<let>)}"}) {
+    SketchPtr S1 = parseSketch(Text);
+    SketchPtr S2 = parseSketch(Text);
+    ASSERT_TRUE(S1 && S2) << Text;
+    ASSERT_NE(S1.get(), S2.get());
+    for (unsigned Depth = 1; Depth <= 3; ++Depth) {
+      Approx A1 = approximateSketch(S1, Depth, false);
+      Approx A2 = approximateSketch(S2, Depth, false);
+      EXPECT_TRUE(regexEquals(A1.Over, A2.Over)) << Text << " d=" << Depth;
+      EXPECT_TRUE(regexEquals(A1.Under, A2.Under)) << Text << " d=" << Depth;
+    }
+  }
+}
+
 TEST(FeasibilityChecker, PrunesOverViolation) {
   // Partial regex Repeat(<let>, k) cannot match positive "123".
   Examples E;

@@ -170,7 +170,6 @@ TEST(InferConstants, StatsPopulated) {
   // length pre-check runs at least one real solve.
   EXPECT_GT(Stats.IntervalEvals, 0u);
   EXPECT_GT(Stats.SmtSolves, 0u);
-  EXPECT_EQ(Stats.solveCalls(), Stats.IntervalEvals + Stats.SmtSolves);
   EXPECT_GT(Stats.Iterations, 0u);
   EXPECT_FALSE(Stats.HitIterationCap);
 }
